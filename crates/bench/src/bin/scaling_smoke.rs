@@ -399,10 +399,15 @@ fn wire_mode(args: &Args) -> ExitCode {
     let router = if args.fleet > 0 {
         let config = RouterConfig {
             backends: servers.iter().map(|s| s.addr().to_string()).collect(),
-            key_ring: key_ring.clone(),
             ..RouterConfig::default()
         };
-        match JudgeRouter::bind("127.0.0.1:0", config) {
+        let front = ServerConfig {
+            key_ring: key_ring.clone(),
+            ..ServerConfig::default()
+        };
+        match JudgeRouter::new(config)
+            .and_then(|router| JudgeServer::bind("127.0.0.1:0", Arc::new(router), front))
+        {
             Ok(router) => Some(router.spawn()),
             Err(err) => {
                 eprintln!("scaling_smoke: could not bind the loopback router: {err}");

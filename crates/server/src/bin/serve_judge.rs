@@ -70,12 +70,21 @@
 //! `--health-interval-secs` the cadence of the TCP health probe. The
 //! same `--key-file` both verifies client frames at the router and
 //! signs the router's requests towards the backends.
+//!
+//! The router runs on the judge's own front end, so `--addr`,
+//! `--port-file`, `--max-connections`, `--max-pipeline` and
+//! `--read-timeout-secs` mean exactly what they mean for a judge.
+//! A routed request blocks on backend sockets, so each client
+//! connection's requests run in order on a routing thread of its own
+//! rather than on the shared pool; `--workers` does not size the router
+//! and is passed on to `--spawn-backends` children.
 
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 use wdte_core::{DisputeService, Kernel, KeyRing, TenantQuotas};
-use wdte_server::{JudgeRouter, JudgeServer, RouterConfig, ServerConfig};
+use wdte_server::{Handler, JudgeRouter, JudgeServer, RouterConfig, ServerConfig};
 
 struct Args {
     addr: String,
@@ -345,8 +354,9 @@ fn spawn_backends(args: &Args, count: usize) -> Result<(Vec<std::process::Child>
 }
 
 /// Serves the fleet router: health-checked consistent-hash routing of
-/// WDTP requests across the configured (or freshly spawned) backends.
-fn run_router(args: Args, key_ring: Option<Arc<KeyRing>>) -> ExitCode {
+/// WDTP requests across the configured (or freshly spawned) backends, on
+/// the same front end (and so the same connection flags) as a judge.
+fn run_router(args: Args, config: ServerConfig) -> ExitCode {
     let mut backends = args.backends.clone();
     let mut children = Vec::new();
     if args.spawn_backends > 0 {
@@ -361,43 +371,61 @@ fn run_router(args: Args, key_ring: Option<Arc<KeyRing>>) -> ExitCode {
             }
         }
     }
-    if backends.is_empty() {
-        eprintln!("serve_judge: --router needs --backends and/or --spawn-backends");
-        return ExitCode::FAILURE;
-    }
-    let mut config = RouterConfig {
+    let router = JudgeRouter::new(RouterConfig {
         backends: backends.clone(),
         ring_replicas: args.ring_replicas,
         retry_siblings: args.retry_siblings,
         health_interval: Duration::from_secs(args.health_interval_secs.max(1)),
-        key_ring: key_ring.clone(),
         ..RouterConfig::default()
-    };
-    if let Some(secs) = args.read_timeout_secs {
-        config.read_timeout = (secs > 0).then(|| Duration::from_secs(secs));
-    }
-    let router = match JudgeRouter::bind(args.addr.as_str(), config) {
-        Ok(router) => router,
+    });
+    let status = match router {
+        Ok(router) => serve(&args, Arc::new(router), config, |addr, auth| {
+            format!(
+                "serve_judge router listening on {addr} (backends [{}], protocol v{}, {auth})",
+                backends.join(", "),
+                wdte_core::PROTOCOL_VERSION,
+            )
+        }),
+        Err(_) if backends.is_empty() => {
+            eprintln!("serve_judge: --router needs --backends and/or --spawn-backends");
+            ExitCode::FAILURE
+        }
         Err(err) => {
             eprintln!("serve_judge: {err}");
-            for mut child in children {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     };
-    let addr = router.local_addr();
-    let auth = match &key_ring {
+    for mut child in children {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+    status
+}
+
+/// Binds `handler` on `--addr`, prints the banner `describe` renders for
+/// the bound address and auth mode, writes `--port-file`, and serves
+/// until the process is killed.
+fn serve<H: Handler>(
+    args: &Args,
+    handler: Arc<H>,
+    config: ServerConfig,
+    describe: impl FnOnce(SocketAddr, String) -> String,
+) -> ExitCode {
+    let auth = match &config.key_ring {
         Some(ring) => format!("authenticated, {} tenants", ring.len()),
         None => "open".to_string(),
     };
-    println!(
-        "serve_judge router listening on {addr} (backends [{}], protocol v{}, {auth})",
-        backends.join(", "),
-        wdte_core::PROTOCOL_VERSION,
-    );
+    let server = match JudgeServer::bind(args.addr.as_str(), handler, config) {
+        Ok(server) => server,
+        Err(err) => {
+            eprintln!("serve_judge: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let addr = server.local_addr();
+    println!("{}", describe(addr, auth));
     if let Some(path) = &args.port_file {
+        // Write-then-rename so a watcher never reads a half-written file.
         let tmp = format!("{path}.tmp");
         let write = std::fs::write(&tmp, addr.to_string()).and_then(|()| std::fs::rename(&tmp, path));
         if let Err(err) = write {
@@ -405,12 +433,7 @@ fn run_router(args: Args, key_ring: Option<Arc<KeyRing>>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let result = router.serve();
-    for mut child in children {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-    match result {
+    match server.serve() {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("serve_judge: {err}");
@@ -451,9 +474,22 @@ fn main() -> ExitCode {
         },
         None => None,
     };
+    let mut config = ServerConfig {
+        max_connections: args.max_connections,
+        worker_threads: args.workers,
+        key_ring,
+        ..ServerConfig::default()
+    };
+    if let Some(depth) = args.max_pipeline {
+        config.max_pipeline = depth;
+    }
+    if let Some(secs) = args.read_timeout_secs {
+        // 0 disables idle reaping entirely (trusted networks only).
+        config.read_timeout = (secs > 0).then(|| Duration::from_secs(secs));
+    }
 
     if args.router || args.spawn_backends > 0 {
-        return run_router(args, key_ring);
+        return run_router(args, config);
     }
 
     let mut builder = DisputeService::builder().kernel(args.kernel).tenant_quotas(args.quotas);
@@ -481,46 +517,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let warm = service.len();
-
-    let mut config = ServerConfig {
-        max_connections: args.max_connections,
-        worker_threads: args.workers,
-        key_ring: key_ring.clone(),
-        ..ServerConfig::default()
-    };
-    if let Some(depth) = args.max_pipeline {
-        config.max_pipeline = depth;
-    }
-    if let Some(secs) = args.read_timeout_secs {
-        // 0 disables idle reaping entirely (trusted networks only).
-        config.read_timeout = (secs > 0).then(|| std::time::Duration::from_secs(secs));
-    }
-    let server = match JudgeServer::bind(args.addr.as_str(), Arc::clone(&service), config) {
-        Ok(server) => server,
-        Err(err) => {
-            eprintln!("serve_judge: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let addr = server.local_addr();
-    let auth = match &key_ring {
-        Some(ring) => format!("authenticated, {} tenants", ring.len()),
-        None => "open".to_string(),
-    };
-    println!(
-        "serve_judge listening on {addr} (protocol v{}, {warm} models warm-started, \
-         {} shared pool workers, {} kernel, {auth})",
-        wdte_core::PROTOCOL_VERSION,
-        rayon::current_num_threads(),
-        service.kernel()
-    );
     if args.stats_interval_secs > 0 {
         // Periodic per-tenant accounting line. The thread holds its own
         // Arc and dies with the process; a judge with no traffic yet
         // prints nothing rather than an empty line.
         let stats_service = Arc::clone(&service);
-        let interval = std::time::Duration::from_secs(args.stats_interval_secs);
+        let interval = Duration::from_secs(args.stats_interval_secs);
         std::thread::spawn(move || loop {
             std::thread::sleep(interval);
             let rows = stats_service.stats_all();
@@ -549,20 +551,13 @@ fn main() -> ExitCode {
             println!("serve_judge stats [{}]", summary.join(" | "));
         });
     }
-    if let Some(path) = &args.port_file {
-        // Write-then-rename so a watcher never reads a half-written file.
-        let tmp = format!("{path}.tmp");
-        let write = std::fs::write(&tmp, addr.to_string()).and_then(|()| std::fs::rename(&tmp, path));
-        if let Err(err) = write {
-            eprintln!("serve_judge: could not write --port-file {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match server.serve() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => {
-            eprintln!("serve_judge: {err}");
-            ExitCode::FAILURE
-        }
-    }
+    let (warm, kernel) = (service.len(), service.kernel());
+    serve(&args, service, config, |addr, auth| {
+        format!(
+            "serve_judge listening on {addr} (protocol v{}, {warm} models warm-started, \
+             {} shared pool workers, {kernel} kernel, {auth})",
+            wdte_core::PROTOCOL_VERSION,
+            rayon::current_num_threads(),
+        )
+    })
 }

@@ -13,7 +13,7 @@
 
 use serde::{Serialize, Value};
 use std::collections::{HashMap, HashSet};
-use std::io::{BufReader, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -397,6 +397,20 @@ impl DisputeClient {
     /// fresh [`DisputeClient::connect`].
     pub fn is_broken(&self) -> bool {
         self.broken
+    }
+
+    /// Whether an idle connection is still usable: not broken, nothing
+    /// buffered, and the peer has neither closed it nor sent anything
+    /// unasked (a non-blocking peek would block). A judge reaps idle
+    /// connections, so a pooled client is checked before reuse.
+    pub(crate) fn is_open(&self) -> bool {
+        let stream = self.reader.get_ref();
+        if self.broken || !self.reader.buffer().is_empty() || stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let quiet =
+            matches!(stream.peek(&mut [0u8; 1]), Err(err) if err.kind() == ErrorKind::WouldBlock);
+        stream.set_nonblocking(false).is_ok() && quiet
     }
 
     /// Number of dockets sent and not yet received.

@@ -11,31 +11,37 @@
 //! scopes models, claims and quotas to the sending tenant.
 //!
 //! Everything is hand-rolled on `std::net` — the build environment is
-//! offline. The server is a readiness-driven event loop: one thread
-//! `poll(2)`s the listener and every connection's read side, reassembles
-//! frames, and hands each decoded request to the one process-global
-//! work-stealing pool (`serve_judge --workers` sizes it;
-//! [`ServerConfig::worker_threads`] scopes a per-request width limit over
-//! it). Responses are written by the workers as they complete — out of
-//! order across a connection's pipelined requests, matched back by
-//! correlation id — so an idle connection costs a file descriptor, not a
-//! parked thread. Claims and models are content-addressed: bodies travel
-//! once, later requests reference them by digest and the judge answers a
-//! miss with `NeedPayload`.
+//! offline. [`JudgeServer`] is the crate's one connection front end, a
+//! readiness-driven event loop: one thread `poll(2)`s the listener and
+//! every connection's read side, reassembles and authenticates frames,
+//! and hands each decoded request to a [`Handler`]. For a judge the
+//! handler is the [`DisputeService`](wdte_core::DisputeService), which
+//! runs requests on the one process-global work-stealing pool
+//! (`serve_judge --workers` sizes it; [`ServerConfig::worker_threads`]
+//! scopes a per-request width limit over it). Responses are written as
+//! requests complete — out of order across a connection's pipelined
+//! requests, matched back by correlation id — so an idle connection
+//! costs a file descriptor, not a parked thread. Claims and models are
+//! content-addressed: bodies travel once, later requests reference them
+//! by digest and the judge answers a miss with `NeedPayload`.
 //!
-//! For horizontal scale, a [`JudgeRouter`] fronts N backend judge
-//! processes: it consistent-hashes `(tenant, model id)` keys across the
-//! fleet (the [`wdte_core::fleet`] ring), splits dockets into
-//! per-backend shards, stitches verdicts back into input order, and
-//! degrades a dead backend to bounded retry-on-sibling or typed faults —
-//! never a hung connection. Clients speak to the router exactly as to a
-//! single judge.
+//! For horizontal scale, a [`JudgeRouter`] is the other handler: served
+//! by the same loop, it fronts N backend judge processes, consistent-
+//! hashes `(tenant, model id)` keys across the fleet (the
+//! [`wdte_core::fleet`] ring), splits dockets into per-backend shards,
+//! stitches verdicts back into input order, and degrades a dead backend
+//! to bounded retry-on-sibling or typed faults — never a hung
+//! connection. Clients speak to the router exactly as to a single judge.
 //!
 //! ```rust,ignore
 //! // Judge process:
 //! let service = Arc::new(DisputeService::builder().warm_start_dir("results/models").build()?);
 //! let server = JudgeServer::bind("127.0.0.1:7431", service, ServerConfig::default())?;
 //! server.serve()?; // blocking event loop
+//!
+//! // Router process, on the same front end:
+//! let router = JudgeRouter::new(RouterConfig { backends, ..RouterConfig::default() })?;
+//! JudgeServer::bind("127.0.0.1:7430", Arc::new(router), ServerConfig::default())?.serve()?;
 //!
 //! // Claimant process: stream dockets without waiting for verdicts.
 //! let mut client = DisputeClient::connect("127.0.0.1:7431")?;
@@ -55,5 +61,5 @@ mod router;
 mod server;
 
 pub use client::{ClientAuth, ClientConfig, DisputeClient, DocketOutcome, DocketTicket, PongInfo};
-pub use router::{JudgeRouter, RouterConfig, RouterHandle, RunningRouter};
-pub use server::{JudgeServer, RunningServer, ServerConfig, ServerHandle};
+pub use router::{JudgeRouter, RouterConfig};
+pub use server::{Handler, Job, JudgeServer, RunningServer, ServerConfig, ServerHandle};

@@ -1,17 +1,25 @@
-//! The fleet front door: a router that consistent-hashes
+//! The fleet front door: a [`Handler`] that consistent-hashes
 //! `(tenant, model id)` keys across N backend judge processes and
-//! forwards WDTP requests through per-backend [`DisputeClient`]s.
+//! forwards WDTP requests through pooled per-backend [`DisputeClient`]s.
 //!
-//! The router terminates the protocol rather than shuffling raw bytes —
-//! it has to, because splitting one docket across backends produces
-//! frames the end client never signed. Pass-through is *semantic*:
-//! client frames are verified against the same key ring the backends
-//! use (identical per-connection sequence floors and replay rules),
-//! requests are re-signed towards each backend with the tenant's own
-//! secret, correlation ids are echoed back unchanged, and a backend's
+//! The router is served by the same event loop as the judge
+//! (`JudgeServer::bind(addr, Arc::new(router), config)`), so framing,
+//! authentication, replay floors, pipelining, connection caps, idle
+//! reaping and the fault policy are the judge's own. It terminates the
+//! protocol rather than shuffling raw bytes — it has to, because
+//! splitting one docket across backends produces frames the end client
+//! never signed. Pass-through is *semantic*: requests are re-signed
+//! towards each backend with the tenant's own secret from the server's
+//! key ring, correlation ids are echoed back unchanged, and a backend's
 //! `NeedPayload` demand for claim bodies the router never held is
 //! relayed upstream so the end client's content-addressed retry logic
 //! works exactly as against a single judge.
+//!
+//! A routed request blocks on backend sockets, so it runs on its client
+//! connection's own routing thread rather than on the process-global
+//! work-stealing pool: an in-process fleet shares that pool with its
+//! backends, which must never starve behind blocked router jobs, and a
+//! request stalled on one backend holds up only its own connection.
 //!
 //! Placement is the [`HashRing`] of `wdte_core::fleet`: deterministic,
 //! process-independent, and minimally disruptive on backend loss. A
@@ -25,21 +33,21 @@
 //! faults for exactly their disputes — never a hung connection.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::io::{BufReader, ErrorKind, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError, Weak};
 use std::time::Duration;
 use wdte_core::error::{WatermarkError, WatermarkResult};
 use wdte_core::fleet::{self, HashRing};
-use wdte_core::proto::{
-    self, DisputeRef, DocketVerdict, PayloadDigest, Request, Response, WireFault, NO_CORRELATION,
-};
-use wdte_core::{persist, KeyRing, OwnershipClaim, TenantId, TenantStatsEntry};
+use wdte_core::proto::{self, DisputeRef, DocketVerdict, PayloadDigest, Request, Response, WireFault};
+use wdte_core::{persist, OwnershipClaim, TenantId, TenantStatsEntry};
 
 use crate::client::{ClientAuth, ClientConfig, DisputeClient, DocketOutcome};
+use crate::server::{fault_response, Handler, Job, ServerConfig};
 
-/// Tuning knobs of a [`JudgeRouter`].
+/// Routing knobs of a [`JudgeRouter`]. Connection-level settings (frame
+/// cap, timeouts, key ring) come from the [`ServerConfig`] it is served
+/// with and apply to both faces.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Addresses of the backend judge processes, in ring order. The ring
@@ -59,14 +67,6 @@ pub struct RouterConfig {
     /// keyed backends refuse anonymous frames, so a protocol-level ping
     /// would demote healthy keyed fleets.
     pub health_interval: Duration,
-    /// Receiver-side cap on one frame's payload, applied to both client
-    /// frames and backend responses.
-    pub max_frame_bytes: usize,
-    /// Idle deadline on a client connection: a connection that sends no
-    /// frame for this long is closed. `None` keeps idle clients forever.
-    pub read_timeout: Option<Duration>,
-    /// Per-frame write deadline towards clients and backends.
-    pub write_timeout: Option<Duration>,
     /// Read deadline on backend responses. `None` (the default) waits as
     /// long as the backend needs — a large docket shard legitimately
     /// takes a while, and a *dead* backend fails the read immediately
@@ -75,11 +75,6 @@ pub struct RouterConfig {
     /// Per-attempt TCP connect deadline for backend connections and
     /// health probes.
     pub connect_timeout: Duration,
-    /// Tenant keys for frame authentication, shared with the backends.
-    /// `None` runs an open fleet (anonymous frames end to end); `Some`
-    /// verifies every client frame here at the edge and re-signs each
-    /// backend request with the same tenant secret.
-    pub key_ring: Option<Arc<KeyRing>>,
 }
 
 impl Default for RouterConfig {
@@ -89,12 +84,8 @@ impl Default for RouterConfig {
             ring_replicas: 64,
             retry_siblings: 1,
             health_interval: Duration::from_secs(1),
-            max_frame_bytes: proto::DEFAULT_MAX_FRAME_BYTES,
-            read_timeout: Some(Duration::from_secs(120)),
-            write_timeout: Some(Duration::from_secs(30)),
             backend_read_timeout: None,
             connect_timeout: Duration::from_secs(1),
-            key_ring: None,
         }
     }
 }
@@ -110,33 +101,74 @@ struct Backend {
     healthy: AtomicBool,
 }
 
-/// State shared between the accept loop, the health monitor and every
-/// connection handler thread.
+/// What the router shares with its health monitor.
 #[derive(Debug)]
-struct RouterShared {
-    ring: HashRing,
-    backends: Vec<Backend>,
-    key_ring: Option<Arc<KeyRing>>,
-    retry_siblings: usize,
-    max_frame_bytes: usize,
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
-    backend_read_timeout: Option<Duration>,
-    connect_timeout: Duration,
-    health_interval: Duration,
-    stop: Arc<AtomicBool>,
+struct Fleet {
+    backends: Box<[Backend]>,
+    /// Idle backend clients, keyed by `(backend, tenant)` because each
+    /// backend connection authenticates as one tenant and carries its own
+    /// sequence counter. A request checks one out per backend it touches
+    /// and returns it after the receive, so concurrent requests never
+    /// share a connection.
+    idle: Mutex<HashMap<(usize, TenantId), Vec<DisputeClient>>>,
 }
 
-impl RouterShared {
+/// The fleet router: serve it with
+/// [`JudgeServer::bind`](crate::JudgeServer::bind). Its health monitor
+/// starts with [`new`](Self::new) and ends once the router is dropped.
+#[derive(Debug)]
+pub struct JudgeRouter {
+    ring: HashRing,
+    fleet: Arc<Fleet>,
+    retry_siblings: usize,
+    backend_read_timeout: Option<Duration>,
+    connect_timeout: Duration,
+}
+
+impl JudgeRouter {
+    /// Builds the router and starts its health monitor. Refuses an empty
+    /// backend list — a router with nowhere to route is a
+    /// misconfiguration, not a degraded fleet.
+    pub fn new(config: RouterConfig) -> WatermarkResult<Self> {
+        let ring = HashRing::new(config.backends.len(), config.ring_replicas)?;
+        let fleet = Arc::new(Fleet {
+            backends: config
+                .backends
+                .into_iter()
+                .map(|addr| Backend {
+                    addr,
+                    healthy: AtomicBool::new(true),
+                })
+                .collect(),
+            idle: Mutex::new(HashMap::new()),
+        });
+        {
+            let fleet = Arc::downgrade(&fleet);
+            let (interval, timeout) = (config.health_interval, config.connect_timeout);
+            std::thread::spawn(move || health_monitor(&fleet, interval, timeout));
+        }
+        Ok(Self {
+            ring,
+            fleet,
+            retry_siblings: config.retry_siblings,
+            backend_read_timeout: config.backend_read_timeout,
+            connect_timeout: config.connect_timeout,
+        })
+    }
+
+    fn backends(&self) -> &[Backend] {
+        &self.fleet.backends
+    }
+
     fn healthy(&self, backend: usize) -> bool {
-        self.backends[backend].healthy.load(Ordering::Relaxed)
+        self.backends()[backend].healthy.load(Ordering::Relaxed)
     }
 
     /// Passive demotion: a request-path transport failure is stronger
     /// evidence than a stale probe, so the flag drops immediately; the
     /// monitor re-promotes once probes succeed again.
     fn demote(&self, backend: usize) {
-        self.backends[backend].healthy.store(false, Ordering::Relaxed);
+        self.backends()[backend].healthy.store(false, Ordering::Relaxed);
     }
 
     /// The typed fault a dispute receives when the backend holding its
@@ -145,194 +177,125 @@ impl RouterShared {
         WatermarkError::Remote {
             message: format!(
                 "model `{model_id}` is homed on backend {home} ({}), which is unreachable",
-                self.backends[home].addr
+                self.backends()[home].addr
             ),
         }
     }
-}
 
-/// Cloneable remote control for a serving [`JudgeRouter`]: signals the
-/// accept loop to stop from any thread.
-#[derive(Debug, Clone)]
-pub struct RouterHandle {
-    stop: Arc<AtomicBool>,
-    addr: SocketAddr,
-}
-
-impl RouterHandle {
-    /// Requests shutdown. The accept loop is blocking, so a nudge
-    /// connection (to the loopback rendering of the bound address, for
-    /// the same reason as [`ServerHandle`](crate::ServerHandle)) wakes
-    /// it; connection handler threads notice the flag at their next
-    /// frame boundary.
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let ip = if self.addr.ip().is_unspecified() {
-            match self.addr {
-                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-            }
-        } else {
-            self.addr.ip()
-        };
-        let nudge = SocketAddr::new(ip, self.addr.port());
-        let _ = TcpStream::connect_timeout(&nudge, Duration::from_millis(250));
-    }
-}
-
-/// A bound, not-yet-serving fleet router. [`serve`](JudgeRouter::serve)
-/// blocks the calling thread; [`spawn`](JudgeRouter::spawn) serves from
-/// a background thread and returns a [`RunningRouter`].
-#[derive(Debug)]
-pub struct JudgeRouter {
-    listener: TcpListener,
-    shared: Arc<RouterShared>,
-}
-
-impl JudgeRouter {
-    /// Binds to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
-    /// Refuses an empty backend list — a router with nowhere to route is
-    /// a misconfiguration, not a degraded fleet.
-    pub fn bind(
-        addr: impl ToSocketAddrs + std::fmt::Display,
-        config: RouterConfig,
-    ) -> WatermarkResult<Self> {
-        let ring = HashRing::new(config.backends.len(), config.ring_replicas)?;
-        let listener = TcpListener::bind(&addr).map_err(|err| WatermarkError::Io {
-            path: addr.to_string(),
-            message: err.to_string(),
-        })?;
-        let backends = config
-            .backends
-            .into_iter()
-            .map(|addr| Backend {
-                addr,
-                healthy: AtomicBool::new(true),
-            })
-            .collect();
-        Ok(Self {
-            listener,
-            shared: Arc::new(RouterShared {
-                ring,
-                backends,
-                key_ring: config.key_ring,
-                retry_siblings: config.retry_siblings,
-                max_frame_bytes: config.max_frame_bytes,
-                read_timeout: config.read_timeout,
-                write_timeout: config.write_timeout,
-                backend_read_timeout: config.backend_read_timeout,
-                connect_timeout: config.connect_timeout,
-                health_interval: config.health_interval,
-                stop: Arc::new(AtomicBool::new(false)),
-            }),
-        })
-    }
-
-    /// The address actually bound (resolves ephemeral ports).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr().expect("a bound listener has a local address")
-    }
-
-    /// A shutdown handle for this router.
-    pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            stop: Arc::clone(&self.shared.stop),
-            addr: self.local_addr(),
-        }
-    }
-
-    /// Runs the accept loop until [`RouterHandle::shutdown`] is called,
-    /// blocking the calling thread. Each client connection is served by
-    /// its own thread: a handful of claimant connections each fanning
-    /// out to N backends is thread-per-connection's sweet spot, and the
-    /// docket parallelism lives in the fan-out, not the accept path.
-    pub fn serve(self) -> WatermarkResult<()> {
-        let JudgeRouter { listener, shared } = self;
-        let monitor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || health_monitor(&shared))
-        };
+    /// Checks out a client for `backend` as `tenant`: an idle one whose
+    /// backend has not closed it meanwhile (a judge reaps idle
+    /// connections), else a fresh connection — demoting the backend if
+    /// the connect fails.
+    fn checkout(
+        &self,
+        config: &ServerConfig,
+        backend: usize,
+        tenant: &TenantId,
+    ) -> WatermarkResult<DisputeClient> {
+        let key = (backend, tenant.clone());
         loop {
-            if shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || serve_connection(&shared, stream));
-                }
-                Err(err) if err.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Persistent accept failures (fd exhaustion) must not
-                    // spin the loop at 100% CPU.
-                    std::thread::sleep(Duration::from_millis(20));
-                }
+            let idle = self
+                .fleet
+                .idle
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_mut(&key)
+                .and_then(Vec::pop);
+            match idle {
+                Some(client) if client.is_open() => return Ok(client),
+                Some(_closed) => continue,
+                None => break,
             }
         }
-        let _ = monitor.join();
-        Ok(())
+        let auth = match &config.key_ring {
+            Some(ring) if !tenant.is_anonymous() => {
+                let secret = ring.key(tenant).ok_or_else(|| WatermarkError::ProtocolViolation {
+                    detail: format!("tenant `{tenant}` is missing from the router's key ring"),
+                })?;
+                Some(ClientAuth::new(tenant.clone(), secret.to_vec()))
+            }
+            _ => None,
+        };
+        let client_config = ClientConfig {
+            connect_attempts: 1,
+            connect_timeout: Some(self.connect_timeout),
+            read_timeout: self.backend_read_timeout,
+            write_timeout: config.write_timeout,
+            max_frame_bytes: config.max_frame_bytes,
+            auth,
+            ..ClientConfig::default()
+        };
+        DisputeClient::connect_with(self.backends()[backend].addr.as_str(), client_config)
+            .inspect_err(|_| self.demote(backend))
     }
 
-    /// Serves from a background thread, returning immediately.
-    pub fn spawn(self) -> RunningRouter {
-        let addr = self.local_addr();
-        let handle = self.handle();
-        let join = std::thread::spawn(move || self.serve());
-        RunningRouter { addr, handle, join }
+    /// Returns a client to the idle pool after its exchange completed. A
+    /// broken client, or one still owing responses, is dropped instead.
+    fn checkin(&self, backend: usize, tenant: &TenantId, client: DisputeClient) {
+        if !client.is_broken() && client.pending_dockets() == 0 {
+            self.fleet
+                .idle
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry((backend, tenant.clone()))
+                .or_default()
+                .push(client);
+        }
     }
 }
 
-/// A [`JudgeRouter`] serving from a background thread.
-#[derive(Debug)]
-pub struct RunningRouter {
-    addr: SocketAddr,
-    handle: RouterHandle,
-    join: std::thread::JoinHandle<WatermarkResult<()>>,
-}
-
-impl RunningRouter {
-    /// The address the router is reachable on.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+/// Routed requests block on backend sockets, so they run on a routing
+/// thread per client connection; the server config supplies the key ring
+/// that re-signs them and the frame cap and write deadline of the
+/// backend hop.
+impl Handler for JudgeRouter {
+    fn handle(&self, config: &ServerConfig, tenant: &TenantId, request: Request) -> Response {
+        route_request(self, config, tenant, request)
     }
 
-    /// A cloneable shutdown handle.
-    pub fn handle(&self) -> RouterHandle {
-        self.handle.clone()
-    }
+    /// The queue of the connection's routing thread, once it has one.
+    type Lane = Option<mpsc::Sender<Job>>;
 
-    /// Stops the accept loop and joins the serving thread.
-    pub fn shutdown(self) -> WatermarkResult<()> {
-        self.handle.shutdown();
-        self.join.join().map_err(|_| WatermarkError::Remote {
-            message: "judge router thread panicked".to_string(),
-        })?
-    }
-}
-
-/// TCP-probes every backend, then sleeps `health_interval` (in short
-/// slices, so shutdown is prompt), until stopped.
-fn health_monitor(shared: &RouterShared) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        for backend in &shared.backends {
-            let alive = probe(&backend.addr, shared.connect_timeout);
-            backend.healthy.store(alive, Ordering::Relaxed);
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
+    /// A connection's requests run in order on its own routing thread,
+    /// started at its first request and ended once the connection closes
+    /// and its queue is drained. A request stalled on one backend holds
+    /// up only later requests of the same connection, and the fleet sees
+    /// as many concurrent requests as the router has busy connections.
+    fn spawn(&self, lane: &mut Self::Lane, mut job: Job) {
+        if let Some(queue) = lane {
+            match queue.send(job) {
+                Ok(()) => return,
+                Err(mpsc::SendError(unsent)) => job = unsent,
             }
         }
-        let mut slept = Duration::ZERO;
-        while slept < shared.health_interval {
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let nap = (shared.health_interval - slept).min(Duration::from_millis(50));
-            std::thread::sleep(nap);
-            slept += nap;
+        let (queue, jobs) = mpsc::channel::<Job>();
+        let _ = std::thread::Builder::new()
+            .name("wdte-route".to_string())
+            .spawn(move || jobs.into_iter().for_each(|job| job()));
+        match queue.send(job) {
+            Ok(()) => *lane = Some(queue),
+            // The OS refused a thread: answer on this one rather than
+            // leave the request unanswered.
+            Err(mpsc::SendError(job)) => job(),
         }
+    }
+}
+
+/// TCP-probes every backend each `interval` for as long as the router
+/// holds the fleet, and drops pooled clients whose backend has closed
+/// them: a judge reaps idle connections, and a quiet key's pooled
+/// sockets would otherwise stay half-closed on the router.
+fn health_monitor(fleet: &Weak<Fleet>, interval: Duration, timeout: Duration) {
+    while let Some(fleet) = fleet.upgrade() {
+        for backend in fleet.backends.iter() {
+            backend.healthy.store(probe(&backend.addr, timeout), Ordering::Relaxed);
+        }
+        fleet.idle.lock().unwrap_or_else(PoisonError::into_inner).retain(|_, clients| {
+            clients.retain(DisputeClient::is_open);
+            !clients.is_empty()
+        });
+        drop(fleet);
+        std::thread::sleep(interval);
     }
 }
 
@@ -346,164 +309,21 @@ fn probe(addr: &str, timeout: Duration) -> bool {
     }
 }
 
-/// Per-client-connection routing state: the backend clients opened on
-/// behalf of this connection, keyed by `(backend, tenant)` because each
-/// backend connection authenticates as one tenant and carries its own
-/// sequence counter.
-struct ConnState {
-    clients: HashMap<(usize, String), DisputeClient>,
-    /// Highest frame sequence accepted from the client on this
-    /// connection — the same replay floor a backend judge keeps, so the
-    /// router is exactly as strict as the judge it fronts.
-    last_sequence: u64,
-}
-
-/// Returns a usable (fresh or cached, never broken) client for
-/// `backend` as `tenant`, demoting the backend if the connect fails.
-fn backend_client<'a>(
-    shared: &RouterShared,
-    state: &'a mut ConnState,
-    backend: usize,
-    tenant: &TenantId,
-) -> WatermarkResult<&'a mut DisputeClient> {
-    let key = (backend, tenant.as_str().to_string());
-    let reusable = state.clients.get(&key).is_some_and(|client| !client.is_broken());
-    if !reusable {
-        let auth = match &shared.key_ring {
-            Some(ring) if !tenant.is_anonymous() => {
-                let secret = ring.key(tenant).ok_or_else(|| WatermarkError::ProtocolViolation {
-                    detail: format!("tenant `{tenant}` is missing from the router's key ring"),
-                })?;
-                Some(ClientAuth::new(tenant.clone(), secret.to_vec()))
-            }
-            _ => None,
-        };
-        let config = ClientConfig {
-            connect_attempts: 1,
-            connect_timeout: Some(shared.connect_timeout),
-            read_timeout: shared.backend_read_timeout,
-            write_timeout: shared.write_timeout,
-            max_frame_bytes: shared.max_frame_bytes,
-            auth,
-            ..ClientConfig::default()
-        };
-        let addr: &str = &shared.backends[backend].addr;
-        match DisputeClient::connect_with(addr, config) {
-            Ok(client) => {
-                state.clients.insert(key.clone(), client);
-            }
-            Err(err) => {
-                shared.demote(backend);
-                return Err(err);
-            }
-        }
-    }
-    Ok(state.clients.get_mut(&key).expect("the entry was just inserted or verified"))
-}
-
-/// Wire rendering of a routing-layer refusal.
-fn fault_response(err: &WatermarkError) -> Response {
-    Response::Error {
-        fault: WireFault::from_error(err),
-    }
-}
-
-/// Serves one client connection to completion: read a frame,
-/// authenticate it, route the request, answer under the client's
-/// correlation id. Requests are handled one at a time per connection —
-/// pipelined clients still overlap across *connections*, and one
-/// docket's parallelism comes from its backend fan-out.
-fn serve_connection(shared: &RouterShared, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(shared.read_timeout);
-    let _ = stream.set_write_timeout(shared.write_timeout);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut state = ConnState {
-        clients: HashMap::new(),
-        last_sequence: 0,
-    };
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let (header, payload) = match proto::read_frame(&mut reader, shared.max_frame_bytes) {
-            Ok(Some(frame)) => frame,
-            // Clean EOF between frames: the client is done.
-            Ok(None) => return,
-            // Torn frame, oversized payload, bad magic, or the idle
-            // deadline: framing is unrecoverable either way.
-            Err(err) => {
-                send_response(&mut writer, NO_CORRELATION, &fault_response(&err));
-                return;
-            }
-        };
-        let tenant = match &shared.key_ring {
-            None => TenantId::anonymous(),
-            Some(ring) => match ring.verify_frame(&header, &payload, state.last_sequence) {
-                Ok(tenant) => tenant,
-                // Framing is intact, so the refusal is answered inline
-                // and the connection kept — same policy as the judge.
-                Err(err) => {
-                    if !send_response(&mut writer, header.correlation_id, &fault_response(&err)) {
-                        return;
-                    }
-                    continue;
-                }
-            },
-        };
-        state.last_sequence = state.last_sequence.max(header.sequence);
-        let request = match proto::decode_payload::<Request>(&payload) {
-            Ok(request) => request,
-            Err(err) => {
-                if !send_response(&mut writer, header.correlation_id, &fault_response(&err)) {
-                    return;
-                }
-                continue;
-            }
-        };
-        let response = route_request(shared, &mut state, &tenant, request);
-        if !send_response(&mut writer, header.correlation_id, &response) {
-            return;
-        }
-    }
-}
-
-/// Writes one response frame to the client; `false` means the client is
-/// gone and the connection should be dropped. Responses travel
-/// anonymous, exactly as a judge's do.
-fn send_response(writer: &mut TcpStream, correlation_id: u64, response: &Response) -> bool {
-    let frame = match proto::encode_frame(correlation_id, response) {
-        Ok(frame) => frame,
-        Err(err) => match proto::encode_frame(correlation_id, &fault_response(&err)) {
-            Ok(frame) => frame,
-            Err(_) => return false,
-        },
-    };
-    writer.write_all(&frame).and_then(|()| writer.flush()).is_ok()
-}
-
 /// Maps one decoded request onto the fleet.
 fn route_request(
-    shared: &RouterShared,
-    state: &mut ConnState,
+    router: &JudgeRouter,
+    config: &ServerConfig,
     tenant: &TenantId,
     request: Request,
 ) -> Response {
     match request {
-        Request::Ping => aggregate_ping(shared, state, tenant),
+        Request::Ping => aggregate_ping(router, config, tenant),
         // Single-model requests go to the key's home backend, with
         // bounded failover onto ring siblings.
-        Request::RegisterModel { .. } | Request::RegisterModelRef { .. } | Request::Resolve { .. } => {
-            let model_id = match &request {
-                Request::RegisterModel { model_id, .. }
-                | Request::RegisterModelRef { model_id, .. }
-                | Request::Resolve { model_id, .. } => model_id.clone(),
-                _ => unreachable!("the outer match admits only model-bearing arms"),
-            };
-            route_single(shared, state, tenant, &model_id, &request)
+        Request::RegisterModel { ref model_id, .. }
+        | Request::RegisterModelRef { ref model_id, .. }
+        | Request::Resolve { ref model_id, .. } => {
+            route_single(router, config, tenant, model_id, &request)
         }
         Request::ResolveDocket { disputes } => {
             // Unify onto the ref form the backends already speak: digest
@@ -517,7 +337,7 @@ fn route_request(
                 bodies.entry(digest).or_insert_with(|| Arc::new(dispute.claim));
                 refs.push(DisputeRef::new(dispute.model_id, digest));
             }
-            route_docket(shared, state, tenant, &bodies, refs)
+            route_docket(router, config, tenant, &bodies, refs)
         }
         Request::ResolveDocketRef { bodies, disputes } => {
             let mut map: HashMap<PayloadDigest, Arc<OwnershipClaim>> =
@@ -526,106 +346,135 @@ fn route_request(
                 let digest = PayloadDigest::of_claim(&body);
                 map.entry(digest).or_insert_with(|| Arc::new(body));
             }
-            route_docket(shared, state, tenant, &map, disputes)
+            route_docket(router, config, tenant, &map, disputes)
         }
-        Request::Payload { claims } => {
+        Request::Payload { ref claims } => {
             // Replicate stored bodies to every reachable backend so
             // later digest-only references resolve wherever their
-            // dispute lands.
+            // dispute lands; a refusal answers only if no backend stored
+            // them.
             let digests: Vec<PayloadDigest> = claims.iter().map(PayloadDigest::of_claim).collect();
-            let request = Request::Payload { claims };
-            let (successes, first_failure) = broadcast(shared, state, tenant, &request);
-            if successes == 0 {
-                return first_failure.unwrap_or_else(|| fault_response(&no_backends_error(shared)));
+            let mut stored = false;
+            let mut refused = None;
+            for backend in 0..router.backends().len() {
+                match backend_call(router, config, tenant, backend, &request) {
+                    Some(Response::Error { fault }) => {
+                        refused.get_or_insert(Response::Error { fault });
+                    }
+                    Some(_) => stored = true,
+                    None => {}
+                }
             }
-            Response::PayloadStored { digests }
+            if stored {
+                return Response::PayloadStored { digests };
+            }
+            refused.unwrap_or_else(|| fault_response(&no_backends_error(router)))
         }
         Request::ListModels => {
-            let mut union: BTreeSet<String> = BTreeSet::new();
-            let mut answered = 0usize;
-            let request = Request::ListModels;
-            for backend in 0..shared.backends.len() {
-                let Some(response) = backend_call(shared, state, tenant, backend, &request) else {
-                    continue;
-                };
-                match response {
+            let mut union = BTreeSet::new();
+            let refused = gather(
+                router,
+                config,
+                tenant,
+                &request,
+                "Models",
+                |response| match response {
                     Response::Models { model_ids } => {
-                        answered += 1;
                         union.extend(model_ids);
+                        Ok(())
                     }
-                    Response::Error { fault } => return Response::Error { fault },
-                    other => return fault_response(&unexpected(&other, "Models")),
-                }
-            }
-            if answered == 0 {
-                return fault_response(&no_backends_error(shared));
-            }
-            Response::Models {
+                    other => Err(other),
+                },
+            );
+            refused.unwrap_or_else(|| Response::Models {
                 model_ids: union.into_iter().collect(),
-            }
+            })
         }
-        Request::Deregister { model_id } => {
-            // Broadcast: replicated warm starts put the model on every
-            // backend, and degradation-era registrations may have landed
-            // it on a sibling.
+        // Broadcast: replicated warm starts put the model on every
+        // backend, and degradation-era registrations may have landed it
+        // on a sibling.
+        Request::Deregister { ref model_id } => {
             let mut existed = false;
-            let mut answered = 0usize;
-            let request = Request::Deregister {
+            let refused =
+                gather(
+                    router,
+                    config,
+                    tenant,
+                    &request,
+                    "Deregistered",
+                    |response| match response {
+                        Response::Deregistered { existed: here, .. } => {
+                            existed |= here;
+                            Ok(())
+                        }
+                        other => Err(other),
+                    },
+                );
+            refused.unwrap_or_else(|| Response::Deregistered {
                 model_id: model_id.clone(),
-            };
-            for backend in 0..shared.backends.len() {
-                let Some(response) = backend_call(shared, state, tenant, backend, &request) else {
-                    continue;
-                };
-                match response {
-                    Response::Deregistered { existed: here, .. } => {
-                        answered += 1;
-                        existed |= here;
-                    }
-                    Response::Error { fault } => return Response::Error { fault },
-                    other => return fault_response(&unexpected(&other, "Deregistered")),
-                }
-            }
-            if answered == 0 {
-                return fault_response(&no_backends_error(shared));
-            }
-            Response::Deregistered { model_id, existed }
+                existed,
+            })
         }
         Request::Stats => {
             let mut merged: BTreeMap<String, TenantStatsEntry> = BTreeMap::new();
-            let mut answered = 0usize;
-            let request = Request::Stats;
-            for backend in 0..shared.backends.len() {
-                let Some(response) = backend_call(shared, state, tenant, backend, &request) else {
-                    continue;
-                };
-                match response {
+            let refused = gather(
+                router,
+                config,
+                tenant,
+                &request,
+                "Stats",
+                |response| match response {
                     Response::Stats { tenants } => {
-                        answered += 1;
                         for entry in tenants {
                             merge_stats(merged.entry(entry.tenant.clone()).or_default(), entry);
                         }
+                        Ok(())
                     }
-                    Response::Error { fault } => return Response::Error { fault },
-                    other => return fault_response(&unexpected(&other, "Stats")),
-                }
-            }
-            if answered == 0 {
-                return fault_response(&no_backends_error(shared));
-            }
-            Response::Stats {
+                    other => Err(other),
+                },
+            );
+            refused.unwrap_or_else(|| Response::Stats {
                 tenants: merged.into_values().collect(),
-            }
+            })
         }
     }
 }
 
+/// Asks every healthy backend `request` and folds each answer into
+/// `merge`, which hands back an answer that is not the `wanted` kind.
+/// Returns the response that ends the request early: the first typed
+/// refusal, a wrong kind of answer, or the fault of a fleet in which no
+/// backend answered; `None` when everything merged.
+fn gather(
+    router: &JudgeRouter,
+    config: &ServerConfig,
+    tenant: &TenantId,
+    request: &Request,
+    wanted: &str,
+    mut merge: impl FnMut(Response) -> Result<(), Response>,
+) -> Option<Response> {
+    let mut answered = 0usize;
+    for backend in 0..router.backends().len() {
+        match backend_call(router, config, tenant, backend, request) {
+            None => continue,
+            Some(Response::Error { fault }) => return Some(Response::Error { fault }),
+            Some(response) => {
+                if let Err(other) = merge(response) {
+                    return Some(fault_response(&unexpected(&other, wanted)));
+                }
+            }
+        }
+        answered += 1;
+    }
+    (answered == 0).then(|| fault_response(&no_backends_error(router)))
+}
+
 /// The fault for "not a single backend could be reached".
-fn no_backends_error(shared: &RouterShared) -> WatermarkError {
+fn no_backends_error(router: &JudgeRouter) -> WatermarkError {
     WatermarkError::Remote {
         message: format!(
             "no reachable backend among the {} configured",
-            shared.backends.len()
+            router.backends().len()
         ),
     }
 }
@@ -642,47 +491,22 @@ fn unexpected(response: &Response, wanted: &str) -> WatermarkError {
 /// demoted). Used by the broadcast/aggregate arms, which tolerate
 /// partial fleets.
 fn backend_call(
-    shared: &RouterShared,
-    state: &mut ConnState,
+    router: &JudgeRouter,
+    config: &ServerConfig,
     tenant: &TenantId,
     backend: usize,
     request: &Request,
 ) -> Option<Response> {
-    if !shared.healthy(backend) {
+    if !router.healthy(backend) {
         return None;
     }
-    let client = backend_client(shared, state, backend, tenant).ok()?;
-    match client.raw_request(request) {
-        Ok(response) => Some(response),
-        Err(_err) => {
-            if client.is_broken() {
-                shared.demote(backend);
-            }
-            None
-        }
+    let mut client = router.checkout(config, backend, tenant).ok()?;
+    let response = client.raw_request(request);
+    if client.is_broken() {
+        router.demote(backend);
     }
-}
-
-/// Broadcasts one request to every healthy backend, returning how many
-/// succeeded and the first typed refusal (if any) for error reporting.
-fn broadcast(
-    shared: &RouterShared,
-    state: &mut ConnState,
-    tenant: &TenantId,
-    request: &Request,
-) -> (usize, Option<Response>) {
-    let mut successes = 0usize;
-    let mut first_failure = None;
-    for backend in 0..shared.backends.len() {
-        match backend_call(shared, state, tenant, backend, request) {
-            Some(Response::Error { fault }) => {
-                first_failure.get_or_insert(Response::Error { fault });
-            }
-            Some(_) => successes += 1,
-            None => {}
-        }
-    }
-    (successes, first_failure)
+    router.checkin(backend, tenant, client);
+    response.ok()
 }
 
 /// Sums every backend's pong into a fleet-wide view. The router answers
@@ -690,15 +514,15 @@ fn broadcast(
 /// negotiates with); model and claim counts aggregate whatever part of
 /// the fleet is reachable — a ping is a liveness probe, so a degraded
 /// fleet still pongs.
-fn aggregate_ping(shared: &RouterShared, state: &mut ConnState, tenant: &TenantId) -> Response {
+fn aggregate_ping(router: &JudgeRouter, config: &ServerConfig, tenant: &TenantId) -> Response {
     let mut models_registered = 0u64;
     let mut claims_cached = 0u64;
-    for backend in 0..shared.backends.len() {
+    for backend in 0..router.backends().len() {
         if let Some(Response::Pong {
             models_registered: models,
             claims_cached: claims,
             ..
-        }) = backend_call(shared, state, tenant, backend, &Request::Ping)
+        }) = backend_call(router, config, tenant, backend, &Request::Ping)
         {
             models_registered += models;
             claims_cached += claims;
@@ -719,48 +543,45 @@ fn aggregate_ping(shared: &RouterShared, state: &mut ConnState, tenant: &TenantI
 /// unreachable fault — the model may well exist, just behind a dead
 /// process, and "unknown" would mislead the claimant.
 fn route_single(
-    shared: &RouterShared,
-    state: &mut ConnState,
+    router: &JudgeRouter,
+    config: &ServerConfig,
     tenant: &TenantId,
     model_id: &str,
     request: &Request,
 ) -> Response {
-    let candidates = shared.ring.candidates(tenant, model_id);
+    let candidates = router.ring.candidates(tenant, model_id);
     let home = candidates[0];
-    let max_attempts = 1 + shared.retry_siblings;
+    let max_attempts = 1 + router.retry_siblings;
     let mut attempts = 0usize;
     for &backend in &candidates {
         if attempts >= max_attempts {
             break;
         }
-        if !shared.healthy(backend) {
+        if !router.healthy(backend) {
             continue;
         }
         attempts += 1;
-        let client = match backend_client(shared, state, backend, tenant) {
-            Ok(client) => client,
-            Err(_err) => continue,
+        let Ok(mut client) = router.checkout(config, backend, tenant) else {
+            continue;
         };
-        match client.raw_request(request) {
+        let result = client.raw_request(request);
+        let broken = client.is_broken();
+        router.checkin(backend, tenant, client);
+        match result {
             Ok(Response::Error { fault }) => {
                 if backend != home && matches!(fault, WireFault::UnknownModel { .. }) {
-                    return fault_response(&shared.unreachable(home, model_id));
+                    return fault_response(&router.unreachable(home, model_id));
                 }
                 return Response::Error { fault };
             }
             Ok(response) => return response,
-            Err(err) => {
-                if client.is_broken() {
-                    shared.demote(backend);
-                    continue;
-                }
-                // The connection is fine — the request itself could not
-                // be encoded; a sibling would refuse it identically.
-                return fault_response(&err);
-            }
+            Err(_err) if broken => router.demote(backend),
+            // The connection is fine — the request itself could not be
+            // encoded; a sibling would refuse it identically.
+            Err(err) => return fault_response(&err),
         }
     }
-    fault_response(&shared.unreachable(home, model_id))
+    fault_response(&router.unreachable(home, model_id))
 }
 
 /// Splits one docket across the fleet and stitches the verdicts back in
@@ -776,8 +597,8 @@ fn route_single(
 /// typed refusal (quota, oversized shard) fails the whole docket, the
 /// same verdict a single judge would have given.
 fn route_docket(
-    shared: &RouterShared,
-    state: &mut ConnState,
+    router: &JudgeRouter,
+    config: &ServerConfig,
     tenant: &TenantId,
     bodies: &HashMap<PayloadDigest, Arc<OwnershipClaim>>,
     disputes: Vec<DisputeRef>,
@@ -787,7 +608,7 @@ fn route_docket(
     slots.resize_with(total, || None);
     let homes: Vec<usize> = disputes
         .iter()
-        .map(|dispute| shared.ring.home(tenant, &dispute.model_id))
+        .map(|dispute| router.ring.home(tenant, &dispute.model_id))
         .collect();
     let mut demanded: Vec<PayloadDigest> = Vec::new();
     let mut demanded_seen: HashSet<PayloadDigest> = HashSet::new();
@@ -797,7 +618,7 @@ fn route_docket(
     // backend that already ate one shard of this docket never gets
     // another.
     let mut failed: HashSet<usize> = HashSet::new();
-    for _round in 0..=shared.retry_siblings {
+    for _round in 0..=router.retry_siblings {
         if pending.is_empty() {
             break;
         }
@@ -806,11 +627,11 @@ fn route_docket(
         let choices: Vec<usize> = pending
             .iter()
             .map(|&idx| {
-                shared
+                router
                     .ring
                     .candidates(tenant, &disputes[idx].model_id)
                     .into_iter()
-                    .find(|&backend| !failed.contains(&backend) && shared.healthy(backend))
+                    .find(|&backend| !failed.contains(&backend) && router.healthy(backend))
                     .unwrap_or(usize::MAX)
             })
             .collect();
@@ -820,7 +641,7 @@ fn route_docket(
             if backend == usize::MAX {
                 // Out of candidates now; no later round can help.
                 for idx in indices {
-                    slots[idx] = Some(Err(shared.unreachable(homes[idx], &disputes[idx].model_id)));
+                    slots[idx] = Some(Err(router.unreachable(homes[idx], &disputes[idx].model_id)));
                 }
             } else {
                 plan.push((backend, indices));
@@ -832,33 +653,28 @@ fn route_docket(
         let mut next_pending: Vec<usize> = Vec::new();
         for (backend, indices) in plan {
             let shard: Vec<DisputeRef> = indices.iter().map(|&idx| disputes[idx].clone()).collect();
-            match backend_client(shared, state, backend, tenant) {
-                Ok(client) => match client.send_docket_ref(bodies, &shard) {
-                    Ok(ticket) => sent.push((backend, indices, ticket)),
-                    Err(err) => {
-                        if client.is_broken() {
-                            shared.demote(backend);
-                            failed.insert(backend);
-                            next_pending.extend(indices);
-                        } else {
-                            return fault_response(&err);
-                        }
-                    }
-                },
-                Err(_err) => {
+            let Ok(mut client) = router.checkout(config, backend, tenant) else {
+                failed.insert(backend);
+                next_pending.extend(indices);
+                continue;
+            };
+            match client.send_docket_ref(bodies, &shard) {
+                Ok(ticket) => sent.push((backend, indices, client, ticket)),
+                Err(_err) if client.is_broken() => {
+                    router.demote(backend);
                     failed.insert(backend);
                     next_pending.extend(indices);
                 }
+                Err(err) => return fault_response(&err),
             }
         }
-        // Receive phase, in send order.
-        for (backend, indices, ticket) in sent {
-            let key = (backend, tenant.as_str().to_string());
-            let client = state
-                .clients
-                .get_mut(&key)
-                .expect("this shard was sent on this connection's client");
-            match client.recv_docket_outcome(ticket) {
+        // Receive phase, in send order. An early return drops the clients
+        // still owing a response instead of pooling them.
+        for (backend, indices, mut client, ticket) in sent {
+            let outcome = client.recv_docket_outcome(ticket);
+            let broken = client.is_broken();
+            router.checkin(backend, tenant, client);
+            match outcome {
                 Ok(DocketOutcome::Verdicts(verdicts)) => {
                     if let Err(err) = fleet::scatter(&mut slots, &indices, verdicts) {
                         return fault_response(&err);
@@ -868,7 +684,7 @@ fn route_docket(
                             && matches!(slots[idx], Some(Err(WatermarkError::UnknownModel { .. })))
                         {
                             slots[idx] =
-                                Some(Err(shared.unreachable(homes[idx], &disputes[idx].model_id)));
+                                Some(Err(router.unreachable(homes[idx], &disputes[idx].model_id)));
                         }
                     }
                 }
@@ -887,25 +703,22 @@ fn route_docket(
                         }
                     }
                 }
-                Err(err) => {
-                    if client.is_broken() {
-                        shared.demote(backend);
-                        failed.insert(backend);
-                        next_pending.extend(indices);
-                    } else {
-                        // A typed whole-shard refusal (tenant quota,
-                        // oversized docket): the single-judge answer to
-                        // this docket would have been the same error.
-                        return fault_response(&err);
-                    }
+                Err(_err) if broken => {
+                    router.demote(backend);
+                    failed.insert(backend);
+                    next_pending.extend(indices);
                 }
+                // A typed whole-shard refusal (tenant quota, oversized
+                // docket): the single-judge answer to this docket would
+                // have been the same error.
+                Err(err) => return fault_response(&err),
             }
         }
         pending = next_pending;
     }
     // Rounds exhausted with shards still unplaced.
     for idx in pending {
-        slots[idx] = Some(Err(shared.unreachable(homes[idx], &disputes[idx].model_id)));
+        slots[idx] = Some(Err(router.unreachable(homes[idx], &disputes[idx].model_id)));
     }
     if !demanded.is_empty() {
         return Response::NeedPayload { digests: demanded };
@@ -936,4 +749,49 @@ fn merge_stats(into: &mut TenantStatsEntry, from: TenantStatsEntry) {
     into.auth_failures += from.auth_failures;
     into.claim_bytes += from.claim_bytes;
     into.in_flight += from.in_flight;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    fn pooled(router: &JudgeRouter) -> usize {
+        let idle = router.fleet.idle.lock().unwrap();
+        idle.values().map(Vec::len).sum()
+    }
+
+    /// A judge reaps idle connections; the health monitor then drops the
+    /// pooled clients it closed, so a quiet key keeps no half-closed
+    /// sockets open on the router.
+    #[test]
+    fn the_health_monitor_prunes_pooled_clients_their_backend_closed() {
+        let backend = TcpListener::bind("127.0.0.1:0").unwrap();
+        let router = JudgeRouter::new(RouterConfig {
+            backends: vec![backend.local_addr().unwrap().to_string()],
+            health_interval: Duration::from_millis(20),
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let tenant = TenantId::anonymous();
+        let client = router.checkout(&ServerConfig::default(), 0, &tenant).unwrap();
+        router.checkin(0, &tenant, client);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(pooled(&router), 1, "an open client stays pooled");
+
+        // The backend closes every connection it has accepted, the
+        // pooled client's among them (health probes are the others).
+        backend.set_nonblocking(true).unwrap();
+        while let Ok((stream, _)) = backend.accept() {
+            drop(stream);
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while pooled(&router) > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the closed client stayed pooled"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
 }

@@ -1,23 +1,24 @@
-//! The judge's side of the wire: a readiness-driven accept/read loop
-//! (non-blocking sockets + `poll(2)`) feeding decoded requests into the
-//! shared work-stealing pool.
+//! The one connection front end of the crate: a readiness-driven
+//! accept/read loop (non-blocking sockets + `poll(2)`) feeding decoded
+//! requests to a [`Handler`] — a local [`DisputeService`] or the fleet
+//! [`JudgeRouter`](crate::JudgeRouter).
 //!
 //! One event-loop thread owns every socket's *read* side: it polls the
 //! listener and all connections, runs each connection's frame state
-//! machine on readable bytes, and hands complete requests to
-//! `rayon::spawn`. Responses are written by the pool workers through a
-//! per-connection [`ConnWriter`] (a `try_clone`d socket behind a mutex),
-//! so out-of-order completion across a connection's in-flight requests is
-//! the normal case — WDTP correlation ids let the client match them
-//! up. Idle connections therefore cost one file descriptor and a little
-//! state, not a parked thread.
+//! machine on readable bytes, and hands complete requests to the
+//! handler's [`spawn`](Handler::spawn). Responses are written by those
+//! workers through a per-connection [`ConnWriter`] (a `try_clone`d
+//! socket behind a mutex), so out-of-order completion across a
+//! connection's in-flight requests is the normal case — WDTP correlation
+//! ids let the client match them up. Idle connections therefore cost one
+//! file descriptor and a little state, not a parked thread.
 //!
 //! When a [`KeyRing`] is configured, each frame's tenant/sequence/tag
 //! fields (WDTP v4) are verified before the payload is decoded: a bad tag
 //! or a replayed sequence is answered with a structured `AuthFailed`
 //! fault and the connection stays open (framing is intact), while the
-//! offending frame is dropped without touching the service. Without a key
-//! ring the judge is open and every frame maps to the anonymous tenant.
+//! offending frame is dropped without reaching the handler. Without a key
+//! ring the server is open and every frame maps to the anonymous tenant.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
@@ -107,7 +108,9 @@ mod sys {
 /// last resort.
 const POLL_TICK_MS: i32 = 20;
 
-/// Tuning knobs of a [`JudgeServer`].
+/// Tuning knobs of a [`JudgeServer`], judge or router alike. A
+/// [`JudgeRouter`](crate::JudgeRouter) also applies the frame cap, the
+/// write deadline and the key ring to its backend hop.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Cap on concurrently open connections; arrivals beyond it wait in
@@ -142,13 +145,15 @@ pub struct ServerConfig {
     /// [`rayon::ThreadPoolBuilder::build_global`] — and this limit caps
     /// how wide each request's dispute × batch-shard fan-out splits on
     /// that shared pool; `0` imposes no per-request limit (requests use
-    /// the whole pool).
+    /// the whole pool). A router, whose requests never run on the pool,
+    /// ignores it.
     pub worker_threads: usize,
     /// Tenant keys for frame authentication. `None` (the default) serves
     /// an open judge: the auth fields of each frame are ignored and every
     /// request runs as the anonymous tenant. `Some` requires every frame
     /// to carry a valid tenant id, a strictly increasing per-connection
-    /// sequence and an HMAC-SHA-256 tag over the payload.
+    /// sequence and an HMAC-SHA-256 tag over the payload; a router
+    /// re-signs each backend request with the same tenant's secret.
     pub key_ring: Option<Arc<KeyRing>>,
 }
 
@@ -163,6 +168,81 @@ impl Default for ServerConfig {
             worker_threads: 0,
             key_ring: None,
         }
+    }
+}
+
+/// One request's work, handed from the event loop to
+/// [`Handler::spawn`].
+pub type Job = Box<dyn FnOnce() + Send>;
+
+/// What a [`JudgeServer`] serves. The event loop owns framing,
+/// authentication, decoding, pipelining and the fault policy; the handler
+/// decides how an authenticated request is answered, whether its tenant
+/// is admitted, what an authentication failure leaves behind, and where
+/// the work runs.
+pub trait Handler: Send + Sync + 'static {
+    /// Answers one decoded request as `tenant`. Runs on whatever thread
+    /// [`spawn`](Self::spawn) chose; a panic is caught and answered with
+    /// an `Internal` fault.
+    fn handle(&self, config: &ServerConfig, tenant: &TenantId, request: Request) -> Response;
+
+    /// Admission control, checked before any work is queued: an `Err` is
+    /// answered inline as a fault. Every admitted request is paired with
+    /// one [`release`](Self::release). Admits everyone by default.
+    fn admit(&self, _tenant: &TenantId) -> WatermarkResult<()> {
+        Ok(())
+    }
+
+    /// Returns what [`admit`](Self::admit) charged, once the request's
+    /// work is over (also when it panicked).
+    fn release(&self, _tenant: &TenantId) {}
+
+    /// Records a frame that failed authentication, under the tenant its
+    /// header names (anonymous when the field is unreadable).
+    fn auth_failed(&self, _claimed: &TenantId) {}
+
+    /// Per-connection state of [`spawn`](Self::spawn): created empty when
+    /// a connection is accepted and dropped when it closes.
+    type Lane: Default + Send;
+
+    /// Runs `job`, a request read from the connection that owns `lane`,
+    /// off the event loop.
+    fn spawn(&self, lane: &mut Self::Lane, job: Job);
+}
+
+/// The judge: requests run on the one process-global work-stealing pool,
+/// each within [`ServerConfig::worker_threads`], and the tenant ledger
+/// charges the in-flight quota and counts authentication failures.
+impl Handler for DisputeService {
+    fn handle(&self, config: &ServerConfig, tenant: &TenantId, request: Request) -> Response {
+        if config.worker_threads == 0 {
+            return handle_request(self, tenant, request);
+        }
+        // A scoped width override, not a thread spawn: the handle owns no
+        // threads, and the request still executes on the shared pool.
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(config.worker_threads)
+            .build()
+            .expect("the rayon shim never fails to build a pool handle")
+            .install(|| handle_request(self, tenant, request))
+    }
+
+    fn admit(&self, tenant: &TenantId) -> WatermarkResult<()> {
+        self.ledger().try_begin_request(tenant, self.quotas())
+    }
+
+    fn release(&self, tenant: &TenantId) {
+        self.ledger().end_request(tenant);
+    }
+
+    fn auth_failed(&self, claimed: &TenantId) {
+        self.ledger().record_auth_failure(claimed);
+    }
+
+    type Lane = ();
+
+    fn spawn(&self, _lane: &mut (), job: Job) {
+        rayon::spawn(job);
     }
 }
 
@@ -201,24 +281,25 @@ impl ServerHandle {
     }
 }
 
-/// A bound, not-yet-serving judge. [`serve`](JudgeServer::serve) blocks
-/// the calling thread; [`spawn`](JudgeServer::spawn) serves from a
+/// A bound, not-yet-serving judge or router. [`serve`](JudgeServer::serve)
+/// blocks the calling thread; [`spawn`](JudgeServer::spawn) serves from a
 /// background thread and returns a [`RunningServer`].
 #[derive(Debug)]
-pub struct JudgeServer {
-    service: Arc<DisputeService>,
+pub struct JudgeServer<H = DisputeService> {
+    handler: Arc<H>,
     listener: TcpListener,
-    config: ServerConfig,
+    config: Arc<ServerConfig>,
     stop: Arc<AtomicBool>,
 }
 
-impl JudgeServer {
+impl<H: Handler> JudgeServer<H> {
     /// Binds to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port). The
-    /// service is shared: the caller can keep registering models on its
-    /// own `Arc` while the server resolves claims against them.
+    /// handler is shared: the caller can keep registering models on its
+    /// own `Arc<DisputeService>` while the server resolves claims against
+    /// them.
     pub fn bind(
         addr: impl ToSocketAddrs + std::fmt::Display,
-        service: Arc<DisputeService>,
+        handler: Arc<H>,
         config: ServerConfig,
     ) -> WatermarkResult<Self> {
         let listener = TcpListener::bind(&addr).map_err(|err| WatermarkError::Io {
@@ -226,9 +307,9 @@ impl JudgeServer {
             message: err.to_string(),
         })?;
         Ok(Self {
-            service,
+            handler,
             listener,
-            config,
+            config: Arc::new(config),
             stop: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -247,12 +328,12 @@ impl JudgeServer {
     }
 
     /// Runs the event loop until [`ServerHandle::shutdown`] is called,
-    /// blocking the calling thread. Requests already handed to the worker
-    /// pool at shutdown finish and their responses are still delivered
-    /// (each worker holds its connection's writer alive).
+    /// blocking the calling thread. Requests already handed to the
+    /// handler at shutdown finish and their responses are still delivered
+    /// (each job holds its connection's writer alive).
     pub fn serve(self) -> WatermarkResult<()> {
         let JudgeServer {
-            service,
+            handler,
             listener,
             config,
             stop,
@@ -262,7 +343,7 @@ impl JudgeServer {
             message: err.to_string(),
         })?;
         let listener_fd = listener.as_raw_fd();
-        let mut conns: Vec<Conn> = Vec::new();
+        let mut conns: Vec<Conn<H::Lane>> = Vec::new();
         loop {
             if stop.load(Ordering::SeqCst) {
                 break;
@@ -305,7 +386,7 @@ impl JudgeServer {
                 if fds[offset + slot].revents == 0 {
                     continue;
                 }
-                if !conns[index].drain(&service, &config) {
+                if !conns[index].drain(&handler, &config) {
                     closing.push(index);
                 }
             }
@@ -420,18 +501,13 @@ impl ConnWriter {
             Ok(frame) => frame,
             // The response itself cannot be framed (a >4 GiB payload);
             // tell the peer which request died rather than hanging it.
-            Err(err) => {
-                let fallback = Response::Error {
-                    fault: WireFault::from_error(&err),
-                };
-                match proto::encode_frame(correlation_id, &fallback) {
-                    Ok(frame) => frame,
-                    Err(_) => {
-                        self.dead.store(true, Ordering::Release);
-                        return false;
-                    }
+            Err(err) => match proto::encode_frame(correlation_id, &fault_response(&err)) {
+                Ok(frame) => frame,
+                Err(_) => {
+                    self.dead.store(true, Ordering::Release);
+                    return false;
                 }
-            }
+            },
         };
         let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
         let deadline = self.write_timeout.map(|timeout| Instant::now() + timeout);
@@ -497,7 +573,7 @@ impl ReadState {
 }
 
 /// One accepted connection as the event loop sees it.
-struct Conn {
+struct Conn<L> {
     /// The read half (the accepted socket itself, non-blocking).
     stream: TcpStream,
     /// The shared write half (a `try_clone`d descriptor).
@@ -516,9 +592,11 @@ struct Conn {
     /// cannot be replayed within the connection (and a fresh connection
     /// starts at 0, forcing the client to start counting from 1).
     last_sequence: u64,
+    /// The handler's per-connection state, see [`Handler::Lane`].
+    lane: L,
 }
 
-impl Conn {
+impl<L: Default> Conn<L> {
     /// Prepares an accepted socket for the event loop; `None` if the
     /// socket died before setup finished.
     fn new(stream: TcpStream, config: &ServerConfig) -> Option<Self> {
@@ -539,23 +617,8 @@ impl Conn {
             read_closed: false,
             last_activity: Instant::now(),
             last_sequence: 0,
+            lane: L::default(),
         })
-    }
-
-    /// Resolves the tenant a frame runs as. An open judge (no key ring)
-    /// ignores the auth fields entirely; a keyed judge delegates to
-    /// [`KeyRing::verify_frame`] (tenant lookup, constant-time tag check,
-    /// strictly increasing sequence).
-    fn authenticate(
-        key_ring: Option<&KeyRing>,
-        header: &FrameHeader,
-        payload: &[u8],
-        last_sequence: u64,
-    ) -> WatermarkResult<TenantId> {
-        match key_ring {
-            None => Ok(TenantId::anonymous()),
-            Some(ring) => ring.verify_frame(header, payload, last_sequence),
-        }
     }
 
     /// Whether the pipeline cap forbids reading more requests for now.
@@ -563,11 +626,15 @@ impl Conn {
         config.max_pipeline > 0 && self.in_flight.load(Ordering::SeqCst) >= config.max_pipeline
     }
 
-    /// Reads everything currently available, dispatching complete frames.
-    /// Returns `false` when the connection must be dropped now (protocol
-    /// violation or transport error); a clean half-close and the pipeline
-    /// cap both return `true` and are handled by the caller's bookkeeping.
-    fn drain(&mut self, service: &Arc<DisputeService>, config: &ServerConfig) -> bool {
+    /// Reads what is available up to the end of one complete frame and
+    /// dispatches it. Returning after a single frame lets connections take
+    /// turns: `poll` is level-triggered, so bytes still buffered are
+    /// served on the loop's next turn, after every other ready
+    /// connection. Returns `false` when the connection must be dropped
+    /// now (protocol violation or transport error); a clean half-close
+    /// and the pipeline cap both return `true` and are handled by the
+    /// caller's bookkeeping.
+    fn drain<H: Handler<Lane = L>>(&mut self, handler: &Arc<H>, config: &Arc<ServerConfig>) -> bool {
         let mut scratch = [0u8; 16 << 10];
         loop {
             if self.paused(config) {
@@ -643,39 +710,29 @@ impl Conn {
                         let payload = std::mem::take(buf);
                         self.state = ReadState::header();
                         // Authenticate before decoding: a frame that
-                        // fails verification must not reach the service.
+                        // fails verification must not reach the handler.
                         // Framing is intact either way, so the failure is
                         // answered inline and the connection kept; the
                         // sequence floor only advances on success, so a
-                        // replayed frame stays refusable forever.
-                        let tenant = match Self::authenticate(
-                            config.key_ring.as_deref(),
-                            &header,
-                            &payload,
-                            self.last_sequence,
-                        ) {
+                        // replayed frame stays refusable forever. An open
+                        // server ignores the auth fields entirely.
+                        let verified = match &config.key_ring {
+                            None => Ok(TenantId::anonymous()),
+                            Some(ring) => ring.verify_frame(&header, &payload, self.last_sequence),
+                        };
+                        match verified {
                             Ok(tenant) => {
                                 self.last_sequence = self.last_sequence.max(header.sequence);
-                                tenant
+                                self.dispatch(handler, config, header.correlation_id, tenant, payload);
                             }
                             Err(err) => {
                                 let claimed = TenantId::from_field(&header.tenant)
                                     .unwrap_or_else(|_| TenantId::anonymous());
-                                service.ledger().record_auth_failure(&claimed);
+                                handler.auth_failed(&claimed);
                                 Self::send_fault(&self.writer, header.correlation_id, &err);
-                                continue;
                             }
-                        };
-                        Self::dispatch(
-                            service,
-                            config,
-                            &self.writer,
-                            &self.in_flight,
-                            header.correlation_id,
-                            tenant,
-                            payload,
-                        );
-                        continue;
+                        }
+                        return true;
                     }
                     let announced = header.announced;
                     let want = (announced - buf.len()).min(scratch.len());
@@ -711,26 +768,19 @@ impl Conn {
 
     /// Best-effort structured error reply for frame-level failures.
     fn send_fault(writer: &ConnWriter, correlation_id: u64, err: &WatermarkError) {
-        let _ = writer.send(
-            correlation_id,
-            &Response::Error {
-                fault: WireFault::from_error(err),
-            },
-        );
+        let _ = writer.send(correlation_id, &fault_response(err));
     }
 
-    /// Hands one complete frame to the worker pool. A payload that does
-    /// not decode as a [`Request`] is answered inline and the connection
+    /// Hands one complete frame to the handler. A payload that does not
+    /// decode as a [`Request`] is answered inline and the connection
     /// kept: framing is intact, so the next frame is readable. The
-    /// tenant's in-flight quota is charged here, before the spawn, so a
-    /// tenant at its cap is refused with a structured fault instead of
+    /// handler's admission check runs here, before the spawn, so a tenant
+    /// at its in-flight cap is refused with a structured fault instead of
     /// queueing work.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        service: &Arc<DisputeService>,
-        config: &ServerConfig,
-        writer: &Arc<ConnWriter>,
-        in_flight: &Arc<AtomicUsize>,
+    fn dispatch<H: Handler<Lane = L>>(
+        &mut self,
+        handler: &Arc<H>,
+        config: &Arc<ServerConfig>,
         correlation_id: u64,
         tenant: TenantId,
         payload: Vec<u8>,
@@ -738,71 +788,59 @@ impl Conn {
         let request = match proto::decode_payload::<Request>(&payload) {
             Ok(request) => request,
             Err(err) => {
-                Self::send_fault(writer, correlation_id, &err);
+                Self::send_fault(&self.writer, correlation_id, &err);
                 return;
             }
         };
-        if let Err(err) = service.ledger().try_begin_request(&tenant, service.quotas()) {
-            Self::send_fault(writer, correlation_id, &err);
+        if let Err(err) = handler.admit(&tenant) {
+            Self::send_fault(&self.writer, correlation_id, &err);
             return;
         }
-        in_flight.fetch_add(1, Ordering::SeqCst);
-        let service = Arc::clone(service);
-        let writer = Arc::clone(writer);
-        let in_flight = Arc::clone(in_flight);
-        let width = config.worker_threads;
-        rayon::spawn(move || {
-            /// Decrements (and releases the tenant's in-flight slot) on
-            /// every exit path, including a panicking handler, so a
-            /// poisoned request can never wedge its connection at the
-            /// pipeline cap or leak quota.
-            struct Guard {
-                in_flight: Arc<AtomicUsize>,
-                service: Arc<DisputeService>,
-                tenant: TenantId,
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        /// Decrements (and releases the admitted tenant) on every exit
+        /// path, including a panicking handler, so a poisoned request can
+        /// never wedge its connection at the pipeline cap or leak quota.
+        struct Guard<H: Handler> {
+            in_flight: Arc<AtomicUsize>,
+            handler: Arc<H>,
+            tenant: TenantId,
+        }
+        impl<H: Handler> Drop for Guard<H> {
+            fn drop(&mut self) {
+                self.handler.release(&self.tenant);
+                self.in_flight.fetch_sub(1, Ordering::SeqCst);
             }
-            impl Drop for Guard {
-                fn drop(&mut self) {
-                    self.service.ledger().end_request(&self.tenant);
-                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            let guard = Guard {
-                in_flight,
-                service: Arc::clone(&service),
-                tenant,
-            };
-            let tenant = &guard.tenant;
-            let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if width > 0 {
-                    // A scoped width override, not a thread spawn: the
-                    // handle owns no threads, and the request still
-                    // executes on the shared global work-stealing pool.
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(width)
-                        .build()
-                        .expect("the rayon shim never fails to build a pool handle")
-                        .install(|| handle_request(&service, tenant, request))
-                } else {
-                    handle_request(&service, tenant, request)
-                }
-            }))
-            .unwrap_or_else(|_| Response::Error {
-                fault: WireFault::Internal {
-                    detail: "judge panicked while serving the request".to_string(),
-                },
-            });
-            // Release the slot *before* the response is written: a client
-            // that has already read this verdict must be able to pipeline
-            // its next request without racing the guard drop.
-            drop(guard);
-            writer.send(correlation_id, &response);
-        });
+        }
+        let guard = Guard {
+            in_flight: Arc::clone(&self.in_flight),
+            handler: Arc::clone(handler),
+            tenant,
+        };
+        let config = Arc::clone(config);
+        let writer = Arc::clone(&self.writer);
+        handler.spawn(
+            &mut self.lane,
+            Box::new(move || {
+                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    guard.handler.handle(&config, &guard.tenant, request)
+                }))
+                .unwrap_or_else(|_| Response::Error {
+                    fault: WireFault::Internal {
+                        detail: "judge panicked while serving the request".to_string(),
+                    },
+                });
+                // Release the slot *before* the response is written: a client
+                // that has already read this verdict must be able to pipeline
+                // its next request without racing the guard drop.
+                drop(guard);
+                writer.send(correlation_id, &response);
+            }),
+        );
     }
 }
 
-/// Wire rendering of a service-layer refusal.
-fn fault_response(err: &WatermarkError) -> Response {
+/// Wire rendering of a service-layer or routing-layer refusal.
+pub(crate) fn fault_response(err: &WatermarkError) -> Response {
     Response::Error {
         fault: WireFault::from_error(err),
     }
@@ -960,8 +998,53 @@ fn docket_response(result: WatermarkResult<Vec<WatermarkResult<VerificationRepor
         Ok(verdicts) => Response::Docket {
             verdicts: verdicts.into_iter().map(DocketVerdict::from_result).collect(),
         },
-        Err(err) => Response::Error {
-            fault: WireFault::from_error(&err),
-        },
+        Err(err) => fault_response(&err),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts the jobs it is handed and drops them unrun.
+    #[derive(Default)]
+    struct Counting(AtomicUsize);
+
+    impl Handler for Counting {
+        fn handle(&self, _config: &ServerConfig, _tenant: &TenantId, _request: Request) -> Response {
+            unreachable!("jobs are counted, never run")
+        }
+
+        type Lane = ();
+
+        fn spawn(&self, _lane: &mut (), _job: Job) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Fairness: one `drain` call dispatches one frame even when more are
+    /// already buffered, so a pipelining connection yields to the others
+    /// after every frame.
+    #[test]
+    fn drain_dispatches_one_frame_per_call() {
+        let socket = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(socket.local_addr().unwrap()).unwrap();
+        let (accepted, _) = socket.accept().unwrap();
+        let frame = proto::encode_frame(1, &Request::Ping).unwrap();
+        client.write_all(&frame.repeat(3)).unwrap();
+        // Wait until all three frames sit in the receive buffer.
+        let mut peeked = vec![0u8; 3 * frame.len()];
+        while accepted.peek(&mut peeked).unwrap() < peeked.len() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let config = Arc::new(ServerConfig::default());
+        let handler = Arc::new(Counting::default());
+        let mut conn = Conn::new(accepted, &config).unwrap();
+        assert!(conn.drain(&handler, &config));
+        assert_eq!(handler.0.load(Ordering::SeqCst), 1, "one drain, one frame");
+        assert!(conn.drain(&handler, &config));
+        assert!(conn.drain(&handler, &config));
+        assert_eq!(handler.0.load(Ordering::SeqCst), 3, "the buffered frames follow");
     }
 }

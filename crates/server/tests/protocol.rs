@@ -4,12 +4,16 @@
 //! tenant isolation, and the protocol's negative paths (malformed frames,
 //! old peers, hostile length prefixes, forged or replayed auth tags,
 //! quota refusals, unknown correlation ids, half-closed sockets).
+//! Connection-level cases run against both front ends — a judge and a
+//! fleet router over one backend judge — because they share one event
+//! loop.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use wdte_core::error::WatermarkError;
 use wdte_core::proto::{self, DisputeRef, PayloadDigest, Request, Response, WireFault};
@@ -18,7 +22,10 @@ use wdte_core::{
     WatermarkConfig, WatermarkOutcome, Watermarker,
 };
 use wdte_data::{Dataset, SyntheticSpec};
-use wdte_server::{ClientAuth, ClientConfig, DisputeClient, JudgeServer, RunningServer, ServerConfig};
+use wdte_server::{
+    ClientAuth, ClientConfig, DisputeClient, JudgeRouter, JudgeServer, RouterConfig, RunningServer,
+    ServerConfig,
+};
 use wdte_trees::{ForestParams, RandomForest};
 
 fn embedded(seed: u64) -> (Dataset, WatermarkOutcome) {
@@ -48,6 +55,59 @@ fn start_server(service: Arc<DisputeService>) -> RunningServer {
     JudgeServer::bind("127.0.0.1:0", service, ServerConfig::default())
         .expect("loopback bind succeeds")
         .spawn()
+}
+
+/// The two front ends a client can be served by.
+#[derive(Debug, Clone, Copy)]
+enum FrontEnd {
+    Judge,
+    /// A fleet router over one backend judge.
+    Router,
+}
+
+const FRONT_ENDS: [FrontEnd; 2] = [FrontEnd::Judge, FrontEnd::Router];
+
+/// A front end serving on loopback; a router keeps its backend alive.
+struct Front {
+    server: RunningServer,
+    backend: Option<RunningServer>,
+}
+
+impl Front {
+    /// Serves `service` through `front`, with `config` governing the
+    /// client-facing connections. A router's backend is a default judge
+    /// sharing the router's key ring.
+    fn start(front: FrontEnd, service: Arc<DisputeService>, config: ServerConfig) -> Self {
+        match front {
+            FrontEnd::Judge => Self {
+                server: JudgeServer::bind("127.0.0.1:0", service, config).unwrap().spawn(),
+                backend: None,
+            },
+            FrontEnd::Router => {
+                let backend_config = ServerConfig {
+                    key_ring: config.key_ring.clone(),
+                    ..ServerConfig::default()
+                };
+                let backend = JudgeServer::bind("127.0.0.1:0", service, backend_config).unwrap().spawn();
+                let router = JudgeRouter::new(RouterConfig {
+                    backends: vec![backend.addr().to_string()],
+                    ..RouterConfig::default()
+                })
+                .unwrap();
+                Self {
+                    server: JudgeServer::bind("127.0.0.1:0", Arc::new(router), config).unwrap().spawn(),
+                    backend: Some(backend),
+                }
+            }
+        }
+    }
+
+    fn shutdown(self) {
+        self.server.shutdown().unwrap();
+        if let Some(backend) = self.backend {
+            backend.shutdown().unwrap();
+        }
+    }
 }
 
 /// Cheap non-watermarked fixture for tests that only need wire parity or
@@ -357,20 +417,23 @@ fn exchange(reader: &mut BufReader<TcpStream>, corr: u64, request: &Request) -> 
 
 #[test]
 fn bad_magic_gets_an_error_response_and_a_closed_connection() {
-    let server = start_server(Arc::new(DisputeService::builder().build().unwrap()));
-    let mut stream = raw_connection(&server);
-    stream.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-    let (corr, fault) = read_error_response(&mut stream);
-    assert_eq!(
-        corr,
-        proto::NO_CORRELATION,
-        "frame-level faults carry the reserved id"
-    );
-    assert!(matches!(fault, WireFault::BadRequest { .. }));
-    // The server closed its side: the next read is EOF.
-    let mut rest = Vec::new();
-    assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
-    server.shutdown().unwrap();
+    for front in FRONT_ENDS {
+        let service = Arc::new(DisputeService::builder().build().unwrap());
+        let served = Front::start(front, service, ServerConfig::default());
+        let mut stream = raw_connection(&served.server);
+        stream.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+        let (corr, fault) = read_error_response(&mut stream);
+        assert_eq!(
+            corr,
+            proto::NO_CORRELATION,
+            "{front:?}: frame-level faults carry the reserved id"
+        );
+        assert!(matches!(fault, WireFault::BadRequest { .. }), "{front:?}");
+        // The server closed its side: the next read is EOF.
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "{front:?}");
+        served.shutdown();
+    }
 }
 
 /// A WDTP v1 peer has a 10-byte header (no correlation id). The server
@@ -419,30 +482,27 @@ fn future_protocol_version_is_refused_with_a_structured_fault() {
 
 #[test]
 fn oversized_length_prefix_is_refused_without_reading_the_payload() {
-    let service = Arc::new(DisputeService::builder().build().unwrap());
-    let server = JudgeServer::bind(
-        "127.0.0.1:0",
-        service,
-        ServerConfig {
+    for front in FRONT_ENDS {
+        let service = Arc::new(DisputeService::builder().build().unwrap());
+        let config = ServerConfig {
             max_frame_bytes: 1024,
             ..ServerConfig::default()
-        },
-    )
-    .unwrap()
-    .spawn();
-    let mut stream = raw_connection(&server);
-    stream.write_all(&raw_anonymous_header(77, u32::MAX)).unwrap();
-    // No payload is ever sent — the server must answer from the header
-    // alone instead of waiting for 4 GiB.
-    match read_error_response(&mut stream) {
-        (corr, WireFault::FrameTooLarge { size, max }) => {
-            assert_eq!(corr, 77, "the offending request's id is echoed");
-            assert_eq!(size, u64::from(u32::MAX));
-            assert_eq!(max, 1024);
+        };
+        let served = Front::start(front, service, config);
+        let mut stream = raw_connection(&served.server);
+        stream.write_all(&raw_anonymous_header(77, u32::MAX)).unwrap();
+        // No payload is ever sent — the server must answer from the header
+        // alone instead of waiting for 4 GiB.
+        match read_error_response(&mut stream) {
+            (corr, WireFault::FrameTooLarge { size, max }) => {
+                assert_eq!(corr, 77, "{front:?}: the offending request's id is echoed");
+                assert_eq!(size, u64::from(u32::MAX));
+                assert_eq!(max, 1024);
+            }
+            (_, other) => panic!("{front:?}: expected a frame-size fault, got {other:?}"),
         }
-        (_, other) => panic!("expected a frame-size fault, got {other:?}"),
+        served.shutdown();
     }
-    server.shutdown().unwrap();
 }
 
 #[test]
@@ -494,39 +554,49 @@ fn half_closed_socket_between_frames_is_a_clean_goodbye() {
 
 #[test]
 fn garbage_payload_in_a_valid_frame_keeps_the_connection_usable() {
-    let server = start_server(Arc::new(DisputeService::builder().build().unwrap()));
-    let mut stream = raw_connection(&server);
-    // A well-framed payload that is not a decodable Request: framing stays
-    // synchronized, so the server answers an error and keeps the socket.
-    let payload = [0x3Fu8; 16]; // unknown value tag
-    let mut frame = raw_anonymous_header(21, payload.len() as u32);
-    frame.extend_from_slice(&payload);
-    // Follow up with a valid ping *on the same socket*.
-    frame.extend_from_slice(&proto::encode_frame(22, &Request::Ping).unwrap());
-    stream.write_all(&frame).unwrap();
+    for front in FRONT_ENDS {
+        let service = Arc::new(DisputeService::builder().build().unwrap());
+        let served = Front::start(front, service, ServerConfig::default());
+        let mut stream = raw_connection(&served.server);
+        // A well-framed payload that is not a decodable Request: framing
+        // stays synchronized, so the server answers an error and keeps
+        // the socket.
+        let payload = [0x3Fu8; 16]; // unknown value tag
+        let mut frame = raw_anonymous_header(21, payload.len() as u32);
+        frame.extend_from_slice(&payload);
+        // Follow up with a valid ping *on the same socket*.
+        frame.extend_from_slice(&proto::encode_frame(22, &Request::Ping).unwrap());
+        stream.write_all(&frame).unwrap();
 
-    let mut reader = BufReader::new(stream);
-    let (first_corr, first): (u64, Response) =
-        proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
-            .unwrap()
-            .unwrap();
-    assert_eq!(first_corr, 21, "the decode failure is attributed to its frame");
-    assert!(matches!(
-        first,
-        Response::Error {
-            fault: WireFault::BadRequest { .. }
-        }
-    ));
-    let (second_corr, second): (u64, Response) =
-        proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
-            .unwrap()
-            .unwrap();
-    assert_eq!(second_corr, 22);
-    assert!(
-        matches!(second, Response::Pong { .. }),
-        "the connection survived the bad payload"
-    );
-    server.shutdown().unwrap();
+        let mut reader = BufReader::new(stream);
+        let (first_corr, first): (u64, Response) =
+            proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
+                .unwrap()
+                .unwrap();
+        assert_eq!(
+            first_corr, 21,
+            "{front:?}: the decode failure is attributed to its frame"
+        );
+        assert!(
+            matches!(
+                first,
+                Response::Error {
+                    fault: WireFault::BadRequest { .. }
+                }
+            ),
+            "{front:?}"
+        );
+        let (second_corr, second): (u64, Response) =
+            proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
+                .unwrap()
+                .unwrap();
+        assert_eq!(second_corr, 22, "{front:?}");
+        assert!(
+            matches!(second, Response::Pong { .. }),
+            "{front:?}: the connection survived the bad payload"
+        );
+        served.shutdown();
+    }
 }
 
 /// A digest the judge has never seen — in a docket reference or a model
@@ -778,54 +848,53 @@ fn a_socket_option_failure_counts_as_a_failed_attempt() {
 /// must not stop new arrivals from being served.
 #[test]
 fn zero_max_connections_means_unlimited() {
-    let service = Arc::new(DisputeService::builder().build().unwrap());
-    let server = JudgeServer::bind(
-        "127.0.0.1:0",
-        service,
-        ServerConfig {
+    for front in FRONT_ENDS {
+        let service = Arc::new(DisputeService::builder().build().unwrap());
+        let config = ServerConfig {
             max_connections: 0,
             ..ServerConfig::default()
-        },
-    )
-    .unwrap()
-    .spawn();
+        };
+        let served = Front::start(front, service, config);
+        let addr = served.server.addr();
 
-    // Dozens of idle peers holding their sockets open.
-    let idle: Vec<TcpStream> = (0..32).map(|_| TcpStream::connect(server.addr()).unwrap()).collect();
+        // Dozens of idle peers holding their sockets open.
+        let idle: Vec<TcpStream> = (0..32).map(|_| TcpStream::connect(addr).unwrap()).collect();
 
-    // A real client is served immediately alongside them.
-    let mut client = DisputeClient::connect(server.addr()).unwrap();
-    assert_eq!(client.ping().unwrap().protocol_version, proto::PROTOCOL_VERSION);
-    drop(idle);
-    drop(client);
-    server.shutdown().unwrap();
+        // A real client is served immediately alongside them.
+        let mut client = DisputeClient::connect(addr).unwrap();
+        assert_eq!(
+            client.ping().unwrap().protocol_version,
+            proto::PROTOCOL_VERSION,
+            "{front:?}"
+        );
+        drop(idle);
+        drop(client);
+        served.shutdown();
+    }
 }
 
 /// Idle connections are reaped after `read_timeout` with no in-flight
 /// requests, so slow-loris peers cost a descriptor only temporarily.
 #[test]
 fn idle_connections_are_reaped_after_the_read_timeout() {
-    let service = Arc::new(DisputeService::builder().build().unwrap());
-    let server = JudgeServer::bind(
-        "127.0.0.1:0",
-        service,
-        ServerConfig {
+    for front in FRONT_ENDS {
+        let service = Arc::new(DisputeService::builder().build().unwrap());
+        let config = ServerConfig {
             read_timeout: Some(Duration::from_millis(200)),
             ..ServerConfig::default()
-        },
-    )
-    .unwrap()
-    .spawn();
+        };
+        let served = Front::start(front, service, config);
 
-    let mut idle = raw_connection(&server);
-    std::thread::sleep(Duration::from_millis(700));
-    let mut rest = Vec::new();
-    assert_eq!(
-        idle.read_to_end(&mut rest).unwrap(),
-        0,
-        "the server closed the idle connection"
-    );
-    server.shutdown().unwrap();
+        let mut idle = raw_connection(&served.server);
+        std::thread::sleep(Duration::from_millis(700));
+        let mut rest = Vec::new();
+        assert_eq!(
+            idle.read_to_end(&mut rest).unwrap(),
+            0,
+            "{front:?}: the server closed the idle connection"
+        );
+        served.shutdown();
+    }
 }
 
 /// Regression test for the shutdown nudge: a server bound to the
@@ -992,49 +1061,159 @@ fn bad_and_truncated_tags_are_refused_without_poisoning_the_connection() {
 /// within a connection.
 #[test]
 fn a_replayed_frame_is_refused_by_the_sequence_check() {
-    let ring = two_tenant_ring();
-    let tenant = TenantId::new("acme").unwrap();
-    let key = ring.key(&tenant).unwrap().to_vec();
-    let service = Arc::new(DisputeService::builder().build().unwrap());
-    let server = keyed_server(Arc::clone(&service), ring);
-    let mut reader = BufReader::new(raw_connection(&server));
+    for front in FRONT_ENDS {
+        let ring = two_tenant_ring();
+        let tenant = TenantId::new("acme").unwrap();
+        let key = ring.key(&tenant).unwrap().to_vec();
+        let service = Arc::new(DisputeService::builder().build().unwrap());
+        let config = ServerConfig {
+            key_ring: Some(Arc::new(ring)),
+            ..ServerConfig::default()
+        };
+        let served = Front::start(front, Arc::clone(&service), config);
+        let mut reader = BufReader::new(raw_connection(&served.server));
 
-    let frame = proto::encode_frame_auth(11, &Request::Ping, &tenant, 1, &key).unwrap();
-    reader.get_mut().write_all(&frame).unwrap();
-    let (_, first): (u64, Response) = proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
-        .unwrap()
-        .unwrap();
-    assert!(matches!(first, Response::Pong { .. }));
+        let frame = proto::encode_frame_auth(11, &Request::Ping, &tenant, 1, &key).unwrap();
+        reader.get_mut().write_all(&frame).unwrap();
+        let (_, first): (u64, Response) =
+            proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
+                .unwrap()
+                .unwrap();
+        assert!(matches!(first, Response::Pong { .. }), "{front:?}");
 
-    // The identical bytes again: same genuine tag, same stale sequence.
-    reader.get_mut().write_all(&frame).unwrap();
-    let (corr, replayed): (u64, Response) =
-        proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
-            .unwrap()
-            .unwrap();
-    assert_eq!(corr, 11);
-    match replayed {
-        Response::Error { fault } => match fault.into_error() {
-            WatermarkError::AuthenticationFailed { detail } => {
-                assert!(detail.contains("replayed"), "unexpected detail: {detail}")
-            }
-            other => panic!("expected an auth failure, got {other:?}"),
-        },
-        other => panic!("expected an auth fault, got {other:?}"),
+        // The identical bytes again: same genuine tag, same stale sequence.
+        reader.get_mut().write_all(&frame).unwrap();
+        let (corr, replayed): (u64, Response) =
+            proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
+                .unwrap()
+                .unwrap();
+        assert_eq!(corr, 11, "{front:?}");
+        match replayed {
+            Response::Error { fault } => match fault.into_error() {
+                WatermarkError::AuthenticationFailed { detail } => {
+                    assert!(
+                        detail.contains("replayed"),
+                        "{front:?}: unexpected detail: {detail}"
+                    )
+                }
+                other => panic!("{front:?}: expected an auth failure, got {other:?}"),
+            },
+            other => panic!("{front:?}: expected an auth fault, got {other:?}"),
+        }
+        // The refusal is visible in the tenant's accounting, which the
+        // judge keeps; the router keeps no ledger and forwards nothing.
+        if let FrontEnd::Judge = front {
+            assert!(service.ledger().counters(&tenant).auth_failures >= 1);
+        }
+
+        // The connection survives; the next sequence is accepted.
+        let next = proto::encode_frame_auth(12, &Request::Ping, &tenant, 2, &key).unwrap();
+        reader.get_mut().write_all(&next).unwrap();
+        let (corr, response): (u64, Response) =
+            proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
+                .unwrap()
+                .unwrap();
+        assert_eq!(corr, 12, "{front:?}");
+        assert!(matches!(response, Response::Pong { .. }), "{front:?}");
+        served.shutdown();
     }
-    // The refusal is visible in the tenant's accounting.
-    assert!(service.ledger().counters(&tenant).auth_failures >= 1);
+}
 
-    // The connection survives; the next sequence is accepted.
-    let next = proto::encode_frame_auth(12, &Request::Ping, &tenant, 2, &key).unwrap();
-    reader.get_mut().write_all(&next).unwrap();
-    let (corr, response): (u64, Response) =
-        proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
-            .unwrap()
-            .unwrap();
-    assert_eq!(corr, 12);
-    assert!(matches!(response, Response::Pong { .. }));
+/// Pipelining backpressure at the router: with `max_pipeline = 2`, a
+/// ping held by a stalled backend and a second ping queued behind it on
+/// the connection's routing thread fill the cap, and the connection's
+/// third frame stays unread — not even answered with the fault its
+/// garbage payload earns — until the first ping completes. It is then
+/// read and refused while the second ping is still in flight.
+#[test]
+fn a_router_at_its_pipeline_cap_stops_reading_until_a_response_completes() {
+    // A stalled backend: it accepts every connection and hands each
+    // request it reads, with the connection it came on, to the test
+    // instead of answering. Health probes connect and close without
+    // sending a frame.
+    let backend = TcpListener::bind("127.0.0.1:0").unwrap();
+    let backend_addr = backend.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (held_tx, held) = mpsc::channel::<(u64, TcpStream)>();
+    {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            for stream in backend.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                let (mut stream, held_tx) = (stream.unwrap(), held_tx.clone());
+                std::thread::spawn(move || {
+                    while let Ok(Some((header, _payload))) =
+                        proto::read_frame(&mut stream, proto::DEFAULT_MAX_FRAME_BYTES)
+                    {
+                        let reply = stream.try_clone().unwrap();
+                        if held_tx.send((header.correlation_id, reply)).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+    }
+    let router = JudgeRouter::new(RouterConfig {
+        backends: vec![backend_addr.to_string()],
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let config = ServerConfig {
+        max_pipeline: 2,
+        ..ServerConfig::default()
+    };
+    let server = JudgeServer::bind("127.0.0.1:0", Arc::new(router), config).unwrap().spawn();
+    let mut stream = raw_connection(&server);
+    let mut burst = proto::encode_frame(1, &Request::Ping).unwrap();
+    burst.extend_from_slice(&proto::encode_frame(2, &Request::Ping).unwrap());
+    let payload = [0x3Fu8; 16]; // unknown value tag: refused on read
+    burst.extend_from_slice(&raw_anonymous_header(3, payload.len() as u32));
+    burst.extend_from_slice(&payload);
+    stream.write_all(&burst).unwrap();
+
+    // The first ping is held at the backend; the second waits its turn.
+    let wait = Duration::from_secs(10);
+    let (corr, mut backend_stream) = held.recv_timeout(wait).unwrap();
+    // At the cap the third frame is not read, so nothing comes back.
+    stream.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+    assert!(
+        stream.peek(&mut [0u8; 1]).is_err(),
+        "the router read past its pipeline cap"
+    );
+    stream.set_read_timeout(Some(wait)).unwrap();
+
+    let pong = Response::Pong {
+        protocol_version: proto::PROTOCOL_VERSION,
+        format_version: persist::FORMAT_VERSION,
+        models_registered: 0,
+        claims_cached: 0,
+    };
+    let mut reader = BufReader::new(stream);
+    let mut answered = Vec::new();
+    let mut read_one = |answered: &mut Vec<(u64, bool)>| {
+        let (corr, response): (u64, Response) =
+            proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
+                .unwrap()
+                .unwrap();
+        answered.push((corr, matches!(response, Response::Pong { .. })));
+    };
+    // One completion frees one slot: the first pong comes back, and the
+    // garbage frame is read and refused while the second ping is held.
+    proto::write_message(&mut backend_stream, corr, &pong).unwrap();
+    let (corr, mut backend_stream) = held.recv_timeout(wait).unwrap();
+    read_one(&mut answered);
+    read_one(&mut answered);
+    proto::write_message(&mut backend_stream, corr, &pong).unwrap();
+    read_one(&mut answered);
+    answered.sort();
+    assert_eq!(answered, vec![(1, true), (2, true), (3, false)]);
     server.shutdown().unwrap();
+    // Unblock the stalled backend's accept loop so its thread ends.
+    stop.store(true, Ordering::SeqCst);
+    drop(TcpStream::connect(backend_addr).unwrap());
 }
 
 /// Tenants are namespaces: a model registered by one tenant is invisible

@@ -3,19 +3,25 @@
 //! consistent-hash placement across real backend servers, degradation of
 //! a dead backend into typed faults, sibling retry over a replicated
 //! warm start, `NeedPayload` relay through the fan-out, and the
-//! fleet-wide aggregation requests.
+//! fleet-wide aggregation requests — plus the deadlock guard for a
+//! router and its backends sharing one process and one worker pool, and
+//! the isolation of requests from a stalled backend.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 use wdte_core::error::WatermarkError;
+use wdte_core::proto::{self, PayloadDigest, Request};
 use wdte_core::{
     persist, Dispute, DisputeService, HashRing, KeyRing, ManifestEntry, ModelManifest, OwnershipClaim,
-    Signature, TenantId, WatermarkConfig, WatermarkOutcome, Watermarker,
+    SharedDispute, Signature, TenantId, WatermarkConfig, WatermarkOutcome, Watermarker,
 };
 use wdte_data::{Dataset, SyntheticSpec};
 use wdte_server::{
-    ClientAuth, DisputeClient, JudgeRouter, JudgeServer, RouterConfig, RunningRouter, RunningServer,
+    ClientAuth, ClientConfig, DisputeClient, JudgeRouter, JudgeServer, RouterConfig, RunningServer,
     ServerConfig,
 };
 
@@ -87,20 +93,25 @@ fn start_backend(service: Arc<DisputeService>, ring: Option<Arc<KeyRing>>) -> Ru
     .spawn()
 }
 
-fn start_router(backends: &[&RunningServer], ring: Option<Arc<KeyRing>>) -> RunningRouter {
-    JudgeRouter::bind(
+fn start_router(backends: &[&RunningServer], ring: Option<Arc<KeyRing>>) -> RunningServer {
+    let router = JudgeRouter::new(RouterConfig {
+        backends: backends.iter().map(|b| b.addr().to_string()).collect(),
+        ..RouterConfig::default()
+    })
+    .expect("a non-empty backend list builds");
+    JudgeServer::bind(
         "127.0.0.1:0",
-        RouterConfig {
-            backends: backends.iter().map(|b| b.addr().to_string()).collect(),
+        Arc::new(router),
+        ServerConfig {
             key_ring: ring,
-            ..RouterConfig::default()
+            ..ServerConfig::default()
         },
     )
     .expect("loopback bind succeeds")
     .spawn()
 }
 
-fn fresh_fleet(n: usize) -> (Vec<RunningServer>, RunningRouter) {
+fn fresh_fleet(n: usize) -> (Vec<RunningServer>, RunningServer) {
     let backends: Vec<RunningServer> = (0..n)
         .map(|_| start_backend(Arc::new(DisputeService::builder().build().unwrap()), None))
         .collect();
@@ -429,8 +440,181 @@ fn fleet_wide_requests_aggregate_across_backends() {
     router.shutdown().unwrap();
 }
 
-/// A router without backends is a configuration error, refused at bind.
+/// A router without backends is a configuration error, refused at
+/// construction.
 #[test]
 fn router_refuses_an_empty_backend_list() {
-    assert!(JudgeRouter::bind("127.0.0.1:0", RouterConfig::default()).is_err());
+    assert!(JudgeRouter::new(RouterConfig::default()).is_err());
+}
+
+/// Deadlock guard: a router and two backends in one process share one
+/// worker pool, and one client pipelines twice as many dockets as that
+/// pool is wide. Routed requests block on backend sockets; were they
+/// queued on the shared pool, they would occupy every worker the
+/// backends need. Every verdict must still arrive, bit-identical to
+/// in-process resolution, within the timeout.
+#[test]
+fn pipelined_dockets_through_an_in_process_fleet_complete() {
+    let (test, outcome) = embedded(78);
+    let docket = mixed_docket(&test, &outcome, 4, 16);
+    let reference_service = DisputeService::builder().build().unwrap();
+    for i in 0..4 {
+        reference_service.register(format!("fleet-m{i}"), &outcome.model);
+    }
+    let shared: Vec<SharedDispute> = docket
+        .iter()
+        .map(|d| {
+            let digest = PayloadDigest::of_claim(&d.claim);
+            SharedDispute::new(d.model_id.clone(), digest, Arc::new(d.claim.clone()))
+        })
+        .collect();
+    let reference = reference_service
+        .resolve_docket_shared_as(&TenantId::anonymous(), &shared)
+        .unwrap();
+
+    let dockets = 2 * rayon::current_num_threads().max(2);
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let (_backends, router) = fresh_fleet(2);
+        let mut client = DisputeClient::connect(router.addr().to_string()).unwrap();
+        for i in 0..4 {
+            client.register_model(format!("fleet-m{i}"), &outcome.model).unwrap();
+        }
+        let tickets: Vec<_> = (0..dockets).map(|_| client.send_docket(&docket).unwrap()).collect();
+        let served: Vec<_> = tickets.into_iter().map(|t| client.recv_docket(t).unwrap()).collect();
+        router.shutdown().unwrap();
+        done.send(served).unwrap();
+    });
+    let served = match finished.recv_timeout(Duration::from_secs(120)) {
+        Ok(served) => served,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("the pipelined in-process fleet deadlocked"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the fleet client thread panicked"),
+    };
+    assert_eq!(served.len(), dockets);
+    for (i, verdicts) in served.iter().enumerate() {
+        assert_eq!(
+            verdicts, &reference,
+            "pipelined docket {i} diverged through the fleet"
+        );
+    }
+}
+
+/// Backend connections are pooled across requests, and a judge reaps
+/// idle connections: a pooled connection its backend has closed must be
+/// replaced rather than used, so the first request after an idle spell
+/// still resolves bit-identically instead of demoting a live backend.
+#[test]
+fn a_pooled_connection_reaped_by_its_backend_is_replaced() {
+    let (test, outcome) = embedded(79);
+    let docket = mixed_docket(&test, &outcome, 2, 8);
+    let reference_service = DisputeService::builder().build().unwrap();
+    for i in 0..2 {
+        reference_service.register(format!("fleet-m{i}"), &outcome.model);
+    }
+    let reference = reference_service.resolve_many(&docket);
+
+    let backend = JudgeServer::bind(
+        "127.0.0.1:0",
+        Arc::new(DisputeService::builder().build().unwrap()),
+        ServerConfig {
+            read_timeout: Some(Duration::from_millis(100)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("loopback bind succeeds")
+    .spawn();
+    let router = start_router(&[&backend], None);
+    let mut client = DisputeClient::connect(router.addr().to_string()).unwrap();
+    for i in 0..2 {
+        client.register_model(format!("fleet-m{i}"), &outcome.model).unwrap();
+    }
+    // Long enough for the backend to reap the router's idle connection.
+    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(client.resolve_docket(&docket).unwrap(), reference);
+    router.shutdown().unwrap();
+}
+
+/// A backend that accepts connections and reads requests but never
+/// answers holds up only the requests homed on it. With twice as many
+/// requests blocked on it as this process has pool workers, each from
+/// its own connection, a request homed on the healthy backend and sent
+/// from yet another connection is still answered.
+#[test]
+fn a_stalled_backend_holds_up_only_the_requests_homed_on_it() {
+    let (test, outcome) = embedded(80);
+    let claim = claim_for(&outcome, &test);
+    let anonymous = TenantId::anonymous();
+    let ring = HashRing::new(2, RouterConfig::default().ring_replicas).unwrap();
+    let homed_on = |backend: usize| {
+        let ring = ring.clone();
+        let anonymous = anonymous.clone();
+        (0..)
+            .map(|i| format!("fleet-m{i}"))
+            .filter(move |id| ring.home(&anonymous, id) == backend)
+    };
+    let live_id = homed_on(1).next().unwrap();
+    let reference_service = DisputeService::builder().build().unwrap();
+    reference_service.register(live_id.clone(), &outcome.model);
+    let reference = reference_service.resolve(&live_id, &claim).unwrap();
+
+    // Backend 0 stalls: it hands every connection that sent a frame to
+    // the test. Health probes connect and close without sending one.
+    let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stalled_addr = stalled.local_addr().unwrap();
+    let (held_tx, held) = mpsc::channel::<TcpStream>();
+    std::thread::spawn(move || {
+        for stream in stalled.incoming() {
+            let mut stream = stream.unwrap();
+            if let Ok(Some(_)) = proto::read_frame(&mut stream, proto::DEFAULT_MAX_FRAME_BYTES) {
+                if held_tx.send(stream).is_err() {
+                    return;
+                }
+            }
+        }
+    });
+    let healthy = start_backend(Arc::new(DisputeService::builder().build().unwrap()), None);
+    let router = JudgeRouter::new(RouterConfig {
+        backends: vec![stalled_addr.to_string(), healthy.addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let router = JudgeServer::bind("127.0.0.1:0", Arc::new(router), ServerConfig::default())
+        .unwrap()
+        .spawn();
+
+    let pinned = 2 * rayon::current_num_threads().max(2);
+    let mut blocked = Vec::new();
+    for (corr, model_id) in homed_on(0).take(pinned).enumerate() {
+        let mut stream = TcpStream::connect(router.addr()).unwrap();
+        let request = Request::Resolve {
+            model_id,
+            claim: claim.clone(),
+        };
+        stream.write_all(&proto::encode_frame(corr as u64, &request).unwrap()).unwrap();
+        blocked.push(stream);
+    }
+    let wait = Duration::from_secs(10);
+    let held_streams: Vec<TcpStream> = (0..pinned)
+        .map(|i| {
+            held.recv_timeout(wait)
+                .unwrap_or_else(|_| panic!("only {i} of {pinned} requests reached the stalled backend"))
+        })
+        .collect();
+
+    let mut client = DisputeClient::connect_with(
+        router.addr().to_string(),
+        ClientConfig {
+            read_timeout: Some(Duration::from_secs(30)),
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    client.register_model(live_id.clone(), &outcome.model).unwrap();
+    assert_eq!(client.resolve(live_id, &claim).unwrap(), reference);
+
+    router.shutdown().unwrap();
+    drop((blocked, held_streams, held));
+    // Unblock the stalled backend's accept loop so its thread ends.
+    let mut last = TcpStream::connect(stalled_addr).unwrap();
+    proto::write_message(&mut last, 1, &Request::Ping).unwrap();
 }
